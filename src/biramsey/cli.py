@@ -46,6 +46,14 @@ _EPILOG = (
     "of K_{m,n} contains K_{2,2} or has K_{t,t} in its bipartite complement. "
     "A good coloring (a subgraph avoiding both) witnesses NOT_ARROWS."
 )
+_THREADS_HELP = (
+    "accepted and validated (>= 1); the search runs serially, and the value "
+    "is kept for a later parallel backend"
+)
+_NO_PRUNE_HELP = (
+    "disable one pruning rule (repeatable); pair-budget is implied by "
+    "generation and prunes nothing"
+)
 
 
 def _color_enabled() -> bool:
@@ -232,12 +240,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_arrows.add_argument("-t", type=int, required=True)
     p_arrows.add_argument("--budget-nodes", type=int, default=None)
     p_arrows.add_argument("--budget-secs", type=float, default=None)
-    p_arrows.add_argument("--threads", type=int, default=1)
+    p_arrows.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p_arrows.add_argument(
         "--no-prune",
         action="append",
         choices=PRUNE_RULES,
-        help="disable one pruning rule (repeatable)",
+        help=_NO_PRUNE_HELP,
     )
     p_arrows.add_argument("-o", "--output", default=None, help="write the witness here")
     p_arrows.set_defaults(func=_cmd_arrows)
@@ -255,8 +263,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_brfind.add_argument("--budget-nodes", type=int, default=None)
     p_brfind.add_argument("--budget-secs", type=float, default=None)
-    p_brfind.add_argument("--threads", type=int, default=1)
-    p_brfind.add_argument("--no-prune", action="append", choices=PRUNE_RULES)
+    p_brfind.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
+    p_brfind.add_argument(
+        "--no-prune", action="append", choices=PRUNE_RULES, help=_NO_PRUNE_HELP
+    )
     p_brfind.set_defaults(func=_cmd_brfind)
 
     p_export = sub.add_parser("export-cnf", help="write the instance as DIMACS CNF")

@@ -3,13 +3,11 @@
 This module answers, exactly: does every subgraph of K_{m,n} contain K_{2,2}
 or have K_{t,t} in its bipartite complement?  (That is the *standard*
 arrowing sense; ARROWS = no good coloring exists.)  The search extends row
-by row over C4-free assignments, with four independently toggleable pruning
-rules:
+by row over C4-free assignments, with three independently toggleable
+pruning rules:
 
 * degree-cap: in a good coloring no row may have degree >= 2t once m >= t+1
   and n >= 2t (see ``degree_cap``);
-* pair-budget: rows of a C4-free graph occupy disjoint column pairs, so a
-  candidate whose pairs overflow C(n,2) cannot be C4-compatible;
 * coverage: a t-subset of already-assigned rows that leaves >= t columns
   uncovered is final evidence of K_{t,t} in the complement, and mixed
   subsets are bounded optimistically through the degree cap;
@@ -17,16 +15,21 @@ rules:
   column lex order with smaller columns more significant), and new columns
   are always the smallest unused indices.
 
-Disabling every rule leaves a sound pure enumeration.
+A fourth name, pair-budget, is accepted but prunes nothing: rows of a C4-free
+graph occupy disjoint column pairs, so no candidate can overflow C(n,2), and
+both row generators already emit only rows that meet each earlier row in at
+most one column.  It is kept so ``disabled_rules`` and ``--no-prune`` accept
+it; its prune count is always 0.
+
+The search is one serial depth-first pass from the root.  Disabling every
+rule leaves a sound pure enumeration.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
-from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import BipartiteGraph, UsageError, mask_from_columns
 from .witnesses import (
@@ -46,7 +49,7 @@ NOT_ARROWS = "NOT_ARROWS"
 BUDGET_EXHAUSTED = "BUDGET_EXHAUSTED"
 
 RULE_DEGREE_CAP = "degree-cap"
-RULE_PAIR_BUDGET = "pair-budget"
+RULE_PAIR_BUDGET = "pair-budget"  # implied by generation; accepted, never counts
 RULE_COVERAGE = "coverage"
 RULE_CANONICAL = "canonical-order"
 PRUNE_RULES = (RULE_DEGREE_CAP, RULE_PAIR_BUDGET, RULE_COVERAGE, RULE_CANONICAL)
@@ -67,7 +70,11 @@ class ArrowingInstance:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budgets, parallel width, and per-rule pruning toggles (for ablation)."""
+    """Budgets and per-rule pruning toggles (for ablation).
+
+    ``threads`` is validated but does not change the search, which always
+    runs serially; it is reserved for a later parallel backend.
+    """
 
     node_budget: int | None = None  # max candidate extensions attempted, total
     time_budget: float | None = None  # wall-clock seconds
@@ -234,30 +241,8 @@ class _BudgetExceeded(Exception):
     pass
 
 
-class _AbortBranch(Exception):
-    pass
-
-
-class _Coordinator:
-    """Cross-worker agreement on the lowest top-level branch with a witness."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.best_index: int | None = None
-        self.best_masks: tuple[int, ...] | None = None
-
-    def offer(self, index: int, masks: tuple[int, ...]) -> None:
-        with self._lock:
-            if self.best_index is None or index < self.best_index:
-                self.best_index = index
-                self.best_masks = masks
-
-    def horizon(self) -> int | None:
-        return self.best_index
-
-
 class _Worker:
-    """One deterministic DFS over an assigned slice of top-level branches."""
+    """One deterministic depth-first search from the root."""
 
     def __init__(
         self,
@@ -265,35 +250,24 @@ class _Worker:
         cfg: SearchConfig,
         cap: int,
         deadline: float | None,
-        attempt_limit: int | None,
-        coord: _Coordinator,
     ):
         self.m, self.n, self.t = inst.m, inst.n, inst.t
         self.cap = cap
         self.cap_on = cfg.enabled(RULE_DEGREE_CAP)
-        self.pairs_on = cfg.enabled(RULE_PAIR_BUDGET)
         self.coverage_on = cfg.enabled(RULE_COVERAGE)
         self.canonical_on = cfg.enabled(RULE_CANONICAL)
         self.deadline = deadline
-        self.attempt_limit = attempt_limit
-        self.coord = coord
-        self.pair_capacity = comb(self.n, 2)
+        self.attempt_limit = cfg.node_budget
 
         self.nodes = 0
         self.attempts = 0
         self.prunes = {rule: 0 for rule in PRUNE_RULES}
-        self.budget_hit = False
         self.found_masks: tuple[int, ...] | None = None
-        self.branch_index = 0
-        self.error: BaseException | None = None
-        self._reset()
 
-    def _reset(self) -> None:
         self.rows: list[int] = []
         self.degs: list[int] = []
         self.used_mask = 0
         self.used_count = 0
-        self.pair_used = 0
         self.col_rows = [0] * self.n
         # (start, length, incidence-over-assigned-rows) runs of interchangeable
         # columns, in label order; the canonical generator draws from these
@@ -302,62 +276,27 @@ class _Worker:
         # unions[j] holds the column unions of all j-subsets of assigned rows
         self.unions: list[list[int]] = [[0]] + [[] for _ in range(self.t - 1)]
 
-    def run(self, branches: Sequence[tuple[int, tuple[int, int, int]]]) -> None:
-        # a crashed worker must not look like an exhausted one
-        try:
-            self._run(branches)
-        except (_AbortBranch, _BudgetExceeded):
-            raise AssertionError("search control flow escaped the branch loop")
-        except BaseException as exc:  # re-raised by the coordinator after join
-            self.error = exc
-
-    def _run(self, branches: Sequence[tuple[int, tuple[int, int, int]]]) -> None:
-        for index, (deg, _rev, mask) in branches:
-            horizon = self.coord.horizon()
-            if horizon is not None and horizon <= index:
-                break
-            self.branch_index = index
-            self._reset()
-            try:
-                self._try_candidate(mask, deg)
-            except _AbortBranch:
-                continue
-            except _BudgetExceeded:
-                self.budget_hit = True
-                break
-            if self.found_masks is not None:
-                self.coord.offer(index, self.found_masks)
-                break
-
     # -- bookkeeping ---------------------------------------------------
 
     def _checkpoints(self) -> None:
-        if self.attempt_limit is not None and self.attempts > self.attempt_limit:
+        # runs before an attempt is counted, so a trip reports exactly the budget
+        if self.attempt_limit is not None and self.attempts >= self.attempt_limit:
             raise _BudgetExceeded
         if not (self.attempts & 255):
             if self.deadline is not None and time.monotonic() > self.deadline:
                 raise _BudgetExceeded
-            horizon = self.coord.horizon()
-            if horizon is not None and horizon < self.branch_index:
-                raise _AbortBranch
 
     def _try_candidate(self, mask: int, deg: int) -> None:
-        self.attempts += 1
         self._checkpoints()
-
-        add_pairs = deg * (deg - 1) // 2
-        if self.pairs_on and self.pair_used + add_pairs > self.pair_capacity:
-            self.prunes[RULE_PAIR_BUDGET] += 1
-            return
+        self.attempts += 1
 
         n, m, t = self.n, self.m, self.t
         # push
         self.rows.append(mask)
         self.degs.append(deg)
-        saved_used, saved_count, saved_pairs = self.used_mask, self.used_count, self.pair_used
+        saved_used, saved_count = self.used_mask, self.used_count
         self.used_mask |= mask
         self.used_count = self.used_mask.bit_count()
-        self.pair_used += add_pairs
         bit = 1 << (len(self.rows) - 1)
         if self.canonical_on:
             self.interval_stack.append(self.intervals)
@@ -411,7 +350,7 @@ class _Worker:
                 low = mm & -mm
                 col_rows[low.bit_length() - 1] &= ~bit
                 mm ^= low
-        self.used_mask, self.used_count, self.pair_used = saved_used, saved_count, saved_pairs
+        self.used_mask, self.used_count = saved_used, saved_count
         self.rows.pop()
         self.degs.pop()
 
@@ -540,18 +479,6 @@ class _Worker:
                 return
 
 
-def _merge_stats(workers: list[_Worker], base_prunes: dict, elapsed: float, extra_nodes: int) -> SearchStats:
-    prunes = dict(base_prunes)
-    nodes = extra_nodes
-    attempts = 0
-    for w in workers:
-        nodes += w.nodes
-        attempts += w.attempts
-        for rule, count in w.prunes.items():
-            prunes[rule] = prunes.get(rule, 0) + count
-    return SearchStats(nodes=nodes, attempts=attempts, prunes=prunes, elapsed=elapsed)
-
-
 def arrows(
     inst: ArrowingInstance,
     cfg: SearchConfig | None = None,
@@ -583,7 +510,6 @@ def arrows(
 
     cap = degree_cap(inst.m, inst.n, inst.t)
     deadline = time.monotonic() + cfg.time_budget if cfg.time_budget else None
-    coord = _Coordinator()
 
     # Root node: an instance can be decided before any extension when even
     # t rows of maximal degree cannot cover enough columns.
@@ -596,50 +522,24 @@ def arrows(
             stats = SearchStats(1, 0, base_prunes, time.perf_counter() - start)
             return SearchOutcome(ARROWS, stats)
 
-    seeder = _Worker(inst, cfg, cap, deadline, None, coord)
-    top = list(enumerate(seeder.candidates()))
-    for rule, count in seeder.prunes.items():
-        base_prunes[rule] += count
-
-    width = min(cfg.threads, len(top)) or 1
-    shares: list[int | None]
-    if cfg.node_budget is None:
-        shares = [None] * width
-    else:
-        per, rem = divmod(cfg.node_budget, width)
-        shares = [per + (1 if w < rem else 0) for w in range(width)]
-
-    workers = [
-        _Worker(inst, cfg, cap, deadline, shares[w], coord) for w in range(width)
-    ]
-    slices = [top[w::width] for w in range(width)]
-
-    if width == 1:
-        workers[0].run(slices[0])
-    else:
-        threads = [
-            threading.Thread(target=workers[w].run, args=(slices[w],), daemon=True)
-            for w in range(width)
-        ]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-
-    for worker in workers:
-        if worker.error is not None:
-            raise worker.error
+    worker = _Worker(inst, cfg, cap, deadline)
+    budget_hit = False
+    try:
+        worker._dfs()
+    except _BudgetExceeded:
+        budget_hit = True
 
     elapsed = time.perf_counter() - start
-    stats = _merge_stats(workers, base_prunes, elapsed, extra_nodes=1)
+    # the root itself counts as one node
+    stats = SearchStats(worker.nodes + 1, worker.attempts, worker.prunes, elapsed)
 
-    if coord.best_masks is not None:
-        graph = BipartiteGraph(inst.m, inst.n, coord.best_masks)
+    if worker.found_masks is not None:
+        graph = BipartiteGraph(inst.m, inst.n, worker.found_masks)
         cert = verify_good_coloring(graph, inst.t)
         if not cert.valid:
             raise RuntimeError("search produced an invalid witness; this is a bug")
         return SearchOutcome(NOT_ARROWS, stats, cert)
-    if any(w.budget_hit for w in workers):
+    if budget_hit:
         return SearchOutcome(BUDGET_EXHAUSTED, stats)
     return SearchOutcome(ARROWS, stats)
 

@@ -10,6 +10,7 @@ from biramsey.search import (
     BUDGET_EXHAUSTED,
     NOT_ARROWS,
     PRUNE_RULES,
+    RULE_PAIR_BUDGET,
     ArrowingInstance,
     SearchConfig,
     arrows,
@@ -29,6 +30,18 @@ from biramsey.witnesses import (
 )
 
 from oracles import arrows_oracle, arrows_oracle_row_canonical, arrows_oracle_t2
+
+
+def fingerprint(out):
+    """Everything in an outcome that must be reproducible (all but the timing)."""
+    masks = out.certificate.graph.row_masks if out.certificate else None
+    return out.verdict, masks, out.stats.nodes, out.stats.attempts, out.stats.prunes
+
+
+def assert_within_budget(out, budget: int) -> None:
+    assert out.stats.attempts <= budget, (out.verdict, out.stats.attempts, budget)
+    if out.verdict == BUDGET_EXHAUSTED:
+        assert out.stats.attempts == budget
 
 
 def graph_from_code(code: int, m: int, n: int) -> BipartiteGraph:
@@ -240,10 +253,13 @@ class TestBudgets:
 
     def test_budget_never_wrong_verdict(self):
         # whatever the budget, the verdict is the true one or BUDGET_EXHAUSTED
+        # and a tripped search has attempted exactly the budget, no more
         for budget in (1, 2, 5, 17, 80, 100000):
             out = arrows(ArrowingInstance(5, 5, 2), SearchConfig(node_budget=budget))
             assert out.verdict in (ARROWS, BUDGET_EXHAUSTED)
+            assert_within_budget(out, budget)
             out = arrows(ArrowingInstance(4, 4, 2), SearchConfig(node_budget=budget))
+            assert_within_budget(out, budget)
             if out.verdict != BUDGET_EXHAUSTED:
                 assert out.verdict == NOT_ARROWS
                 assert out.certificate.valid
@@ -269,16 +285,15 @@ class TestDeterminism:
         assert len(masks) <= 1
 
     def test_threads_do_not_change_result(self):
-        for m, n, t in ((4, 4, 2), (5, 5, 2), (4, 6, 2), (7, 7, 3)):
-            reference = arrows(ArrowingInstance(m, n, t))
+        # verdict, witness and every count, with and without a node budget
+        cases = ((4, 4, 2, None), (5, 5, 2, None), (4, 6, 2, None), (7, 7, 3, None),
+                 (7, 7, 3, 40), (5, 5, 2, 7))
+        for m, n, t, budget in cases:
+            inst = ArrowingInstance(m, n, t)
+            reference = fingerprint(arrows(inst, SearchConfig(node_budget=budget)))
             for threads in (2, 3, 4):
-                out = arrows(ArrowingInstance(m, n, t), SearchConfig(threads=threads))
-                assert out.verdict == reference.verdict, (m, n, t, threads)
-                if reference.certificate is not None:
-                    assert (
-                        out.certificate.graph.row_masks
-                        == reference.certificate.graph.row_masks
-                    ), (m, n, t, threads)
+                cfg = SearchConfig(node_budget=budget, threads=threads)
+                assert fingerprint(arrows(inst, cfg)) == reference, (m, n, t, budget, threads)
 
 
 class TestAblation:
@@ -288,6 +303,17 @@ class TestAblation:
             for rule in PRUNE_RULES:
                 cfg = SearchConfig(disabled_rules=frozenset({rule}))
                 assert arrows(ArrowingInstance(m, n, 2), cfg).verdict == want
+
+    def test_pair_budget_is_a_no_op(self):
+        # generation already keeps column pairs disjoint, so the rule never fires
+        off = SearchConfig(disabled_rules=frozenset({RULE_PAIR_BUDGET}))
+        for t in (2, 3):
+            for m in range(2, 8):
+                for n in range(2, 10):
+                    inst = ArrowingInstance(m, n, t)
+                    default = arrows(inst)
+                    assert default.stats.prunes[RULE_PAIR_BUDGET] == 0, (m, n, t)
+                    assert fingerprint(arrows(inst, off)) == fingerprint(default), (m, n, t)
 
     def test_all_rules_disabled_pure_enumeration(self):
         cfg = SearchConfig(disabled_rules=frozenset(PRUNE_RULES))
