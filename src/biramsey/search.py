@@ -31,7 +31,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import BipartiteGraph, UsageError, mask_from_columns
+from .core import BipartiteGraph, UsageError, columns_from_mask, mask_from_columns
 from .witnesses import (
     EXACT,
     LOWER_BOUND,
@@ -150,16 +150,6 @@ def _lex_le(a: int, b: int) -> bool:
     return (b & low) != 0
 
 
-def _rev_value(mask: int, n: int) -> int:
-    """Bit-reversed mask; integer order on these equals the column-lex order."""
-    rev = 0
-    while mask:
-        low = mask & -mask
-        rev |= 1 << (n - low.bit_length())
-        mask ^= low
-    return rev
-
-
 def _refine_intervals(
     intervals: list[tuple[int, int]], mask: int
 ) -> list[tuple[int, int]] | None:
@@ -230,7 +220,7 @@ def is_canonical_assignment(g: BipartiteGraph) -> bool:
     """Whole-graph canonicality: every prefix passes canonical_extension_ok."""
     partial = None
     for i in range(g.m):
-        row = [c for c in range(g.n) if g.row_masks[i] >> c & 1]
+        row = columns_from_mask(g.row_masks[i])
         if not canonical_extension_ok(partial, row, n=g.n):
             return False
         partial = BipartiteGraph(i + 1, g.n, g.row_masks[: i + 1])
@@ -267,7 +257,6 @@ class _Worker:
         self.rows: list[int] = []
         self.degs: list[int] = []
         self.used_mask = 0
-        self.used_count = 0
         self.col_rows = [0] * self.n
         # (start, length, incidence-over-assigned-rows) runs of interchangeable
         # columns, in label order; the canonical generator draws from these
@@ -294,9 +283,8 @@ class _Worker:
         # push
         self.rows.append(mask)
         self.degs.append(deg)
-        saved_used, saved_count = self.used_mask, self.used_count
+        saved_used = self.used_mask
         self.used_mask |= mask
-        self.used_count = self.used_mask.bit_count()
         bit = 1 << (len(self.rows) - 1)
         if self.canonical_on:
             self.interval_stack.append(self.intervals)
@@ -350,7 +338,7 @@ class _Worker:
                 low = mm & -mm
                 col_rows[low.bit_length() - 1] &= ~bit
                 mm ^= low
-        self.used_mask, self.used_count = saved_used, saved_count
+        self.used_mask = saved_used
         self.rows.pop()
         self.degs.pop()
 
@@ -381,7 +369,7 @@ class _Worker:
         fb = n
         if self.cap_on and self.cap < fb:
             fb = self.cap
-        if self.canonical_on and self.degs[-1] < fb:
+        if self.canonical_on and self.degs and self.degs[-1] < fb:
             fb = self.degs[-1]
         ordered = sorted(self.degs)
         limit = n - t
@@ -408,17 +396,22 @@ class _Worker:
             limit = self.cap
         return limit
 
-    def candidates(self) -> list[tuple[int, int, int]]:
-        """Extendable row masks at the current depth, as (deg, rev, mask),
-        ordered degree-descending then column-lex-descending."""
+    def candidates(self) -> list[tuple[int, int]]:
+        """Extendable row masks at the current depth, as (deg, mask), ordered
+        degree-descending then column-lex-descending.
+
+        No sort is needed: within one degree no candidate extends another, so
+        emitting each subset after its extensions, taken in increasing column
+        order, already lists every degree in column-lex-descending order.
+        """
         n = self.n
         limit = self._gen_limit()
-        out: list[tuple[int, int]] = []
+        by_deg: list[list[int]] = [[] for _ in range(limit + 1)]
 
         if self.canonical_on:
             # a canonical row takes the first column of some incidence-disjoint
             # used intervals plus a leading block of never-used columns
-            u = self.used_count
+            u = self.used_mask.bit_count()
             max_new = n - u
             pools = [
                 (1 << start, incidence)
@@ -427,53 +420,45 @@ class _Worker:
             ]
 
             def rec(idx: int, omask: int, odeg: int, rows_hit: int) -> None:
+                if odeg < limit:
+                    for body in range(idx, len(pools)):
+                        cbit, incidence = pools[body]
+                        if incidence & rows_hit:
+                            continue
+                        rec(body + 1, omask | cbit, odeg + 1, rows_hit | incidence)
                 hi = limit - odeg
                 if max_new < hi:
                     hi = max_new
                 for k in range(hi + 1):
-                    out.append((odeg + k, omask | (((1 << k) - 1) << u)))
-                if odeg == limit:
-                    return
-                for body in range(idx, len(pools)):
-                    cbit, incidence = pools[body]
-                    if incidence & rows_hit:
-                        continue
-                    rec(body + 1, omask | cbit, odeg + 1, rows_hit | incidence)
+                    by_deg[odeg + k].append(omask | (((1 << k) - 1) << u))
 
             rec(0, 0, 0, 0)
+            if self.degs and self.degs[-1] == limit:
+                # rows tying the last row's degree but above it come first
+                top, last = by_deg[limit], self.rows[-1]
+                drop = 0
+                while drop < len(top) and not _lex_le(top[drop], last):
+                    drop += 1
+                self.prunes[RULE_CANONICAL] += drop
+                del top[:drop]
         else:
             col_rows = self.col_rows
 
             def rec_all(c0: int, omask: int, odeg: int, rows_hit: int) -> None:
-                out.append((odeg, omask))
-                if odeg == limit:
-                    return
-                for c in range(c0, n):
-                    cr = col_rows[c]
-                    if cr & rows_hit:
-                        continue
-                    rec_all(c + 1, omask | (1 << c), odeg + 1, rows_hit | cr)
+                if odeg < limit:
+                    for c in range(c0, n):
+                        cr = col_rows[c]
+                        if cr & rows_hit:
+                            continue
+                        rec_all(c + 1, omask | (1 << c), odeg + 1, rows_hit | cr)
+                by_deg[odeg].append(omask)
 
             rec_all(0, 0, 0, 0)
 
-        ranked = sorted(
-            ((deg, _rev_value(mask, n), mask) for deg, mask in out),
-            key=lambda item: (-item[0], -item[1]),
-        )
-        if self.canonical_on and self.degs:
-            last_deg = self.degs[-1]
-            last_rev = _rev_value(self.rows[-1], n)
-            kept = []
-            for deg, rev, mask in ranked:
-                if deg == last_deg and rev > last_rev:
-                    self.prunes[RULE_CANONICAL] += 1
-                    continue
-                kept.append((deg, rev, mask))
-            ranked = kept
-        return ranked
+        return [(deg, mask) for deg in range(limit, -1, -1) for mask in by_deg[deg]]
 
     def _dfs(self) -> None:
-        for deg, _rev, mask in self.candidates():
+        for deg, mask in self.candidates():
             self._try_candidate(mask, deg)
             if self.found_masks is not None:
                 return
@@ -511,23 +496,17 @@ def arrows(
     cap = degree_cap(inst.m, inst.n, inst.t)
     deadline = time.monotonic() + cfg.time_budget if cfg.time_budget else None
 
-    # Root node: an instance can be decided before any extension when even
-    # t rows of maximal degree cannot cover enough columns.
-    if cfg.enabled(RULE_COVERAGE) and inst.m >= inst.t:
-        fb = inst.n
-        if cfg.enabled(RULE_DEGREE_CAP) and cap < fb:
-            fb = cap
-        if inst.t * fb <= inst.n - inst.t:
-            base_prunes[RULE_COVERAGE] += 1
-            stats = SearchStats(1, 0, base_prunes, time.perf_counter() - start)
-            return SearchOutcome(ARROWS, stats)
-
     worker = _Worker(inst, cfg, cap, deadline)
     budget_hit = False
-    try:
-        worker._dfs()
-    except _BudgetExceeded:
-        budget_hit = True
+    # the root can be decided before any extension when even t rows of
+    # maximal degree cannot cover enough columns
+    if worker.coverage_on and not worker._coverage_mixed_ok():
+        worker.prunes[RULE_COVERAGE] += 1
+    else:
+        try:
+            worker._dfs()
+        except _BudgetExceeded:
+            budget_hit = True
 
     elapsed = time.perf_counter() - start
     # the root itself counts as one node

@@ -21,6 +21,7 @@ from .core import (
     BicliqueSpec,
     BipartiteGraph,
     UsageError,
+    columns_from_mask,
     complement,
     find_biclique,
     max_row_degree,
@@ -183,16 +184,9 @@ def serialize_witness(cert: WitnessCertificate) -> str:
     g = cert.graph
     lines = [WITNESS_FORMAT_HEADER, f"m={g.m} n={g.n} t={cert.t}"]
     for i, mask in enumerate(g.row_masks):
-        labels = " ".join(str(c + 1) for c in _ascending_columns(mask))
+        labels = " ".join(str(c + 1) for c in columns_from_mask(mask))
         lines.append(f"{i + 1}: {labels}" if labels else f"{i + 1}:")
     return "\n".join(lines) + "\n"
-
-
-def _ascending_columns(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 _PARAM_RE = re.compile(r"^m=(\d+) n=(\d+) t=(\d+)$")

@@ -10,9 +10,15 @@ from biramsey.search import (
     BUDGET_EXHAUSTED,
     NOT_ARROWS,
     PRUNE_RULES,
+    RULE_CANONICAL,
+    RULE_COVERAGE,
+    RULE_DEGREE_CAP,
     RULE_PAIR_BUDGET,
     ArrowingInstance,
     SearchConfig,
+    _lex_le,
+    _refine_intervals,
+    _Worker,
     arrows,
     canonical_extension_ok,
     degree_cap,
@@ -180,10 +186,20 @@ class TestArrows:
         assert out.stats.nodes > 0
 
     def test_large_n_root_prune(self):
-        # with cap 3, three rows cover at most 9 of 100 columns
-        out = arrows(ArrowingInstance(7, 100, 2))
-        assert out.verdict == ARROWS
-        assert out.stats.nodes == 1
+        # with cap 3, two rows cover at most 6 columns, leaving >= 2 of 100
+        # (or of 8) uncovered: the root alone decides
+        root_prunes = {rule: 0 for rule in PRUNE_RULES} | {RULE_COVERAGE: 1}
+        for m, n in ((7, 100), (3, 8)):
+            out = arrows(ArrowingInstance(m, n, 2))
+            assert out.verdict == ARROWS
+            assert (out.stats.nodes, out.stats.attempts, out.stats.prunes) == (
+                1, 0, root_prunes), (m, n)
+        # the root bound needs both the cap and the coverage rule
+        for rule in (RULE_DEGREE_CAP, RULE_COVERAGE):
+            cfg = SearchConfig(disabled_rules=frozenset({rule}))
+            out = arrows(ArrowingInstance(3, 8, 2), cfg)
+            assert out.verdict == ARROWS
+            assert out.stats.attempts > 0, rule
 
     def test_spot_oracle_agreement(self):
         for m, n in ((2, 3), (3, 3), (3, 4), (4, 3), (4, 4)):
@@ -294,6 +310,56 @@ class TestDeterminism:
             for threads in (2, 3, 4):
                 cfg = SearchConfig(node_budget=budget, threads=threads)
                 assert fingerprint(arrows(inst, cfg)) == reference, (m, n, t, budget, threads)
+
+    def test_candidate_order(self, monkeypatch):
+        # at every node the candidates are exactly the C4-compatible (and, with
+        # canonical-order on, interval-prefix) rows up to the degree limit,
+        # listed degree-descending then column-lex-descending; the
+        # canonical-order prunes are the rows tying the last row's degree that
+        # sort above it
+        original = _Worker.candidates
+        checked = 0
+
+        def checked_candidates(worker):
+            nonlocal checked
+            checked += 1
+            before = worker.prunes[RULE_CANONICAL]
+            out = original(worker)
+            masks = [mask for _deg, mask in out]
+            assert all(deg == mask.bit_count() for deg, mask in out)
+            assert len(set(masks)) == len(masks)
+            assert out == sorted(out, key=lambda dm: (-dm[0], columns_from_mask(dm[1])))
+
+            n, rows, canonical = worker.n, worker.rows, worker.canonical_on
+            limit = degree_cap(worker.m, n, worker.t) if worker.cap_on else n
+            if canonical and rows:
+                limit = min(limit, rows[-1].bit_count())
+            intervals = [(0, n)]
+            for row in rows if canonical else ():
+                intervals = _refine_intervals(intervals, row)
+            expected, above = set(), 0
+            for mask in range(1 << n):
+                if mask.bit_count() > limit or any((mask & r).bit_count() > 1 for r in rows):
+                    continue
+                if canonical and _refine_intervals(intervals, mask) is None:
+                    continue
+                if (canonical and rows and mask.bit_count() == rows[-1].bit_count()
+                        and not _lex_le(mask, rows[-1])):
+                    above += 1
+                else:
+                    expected.add(mask)
+            assert set(masks) == expected, rows
+            assert worker.prunes[RULE_CANONICAL] - before == above, rows
+            return out
+
+        monkeypatch.setattr(_Worker, "candidates", checked_candidates)
+        configs = [SearchConfig()] + [
+            SearchConfig(disabled_rules=frozenset({rule})) for rule in PRUNE_RULES
+        ]
+        for m, n, t in ((5, 6, 2), (4, 6, 3), (6, 7, 3)):
+            for cfg in configs:
+                arrows(ArrowingInstance(m, n, t), cfg)
+        assert checked > 1000
 
 
 class TestAblation:
