@@ -210,6 +210,15 @@ def _cmd_table(args) -> int:
     return 0
 
 
+def _add_search_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--budget-nodes", type=int, default=None)
+    parser.add_argument("--budget-secs", type=float, default=None)
+    parser.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
+    parser.add_argument(
+        "--no-prune", action="append", choices=PRUNE_RULES, help=_NO_PRUNE_HELP
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biramsey",
@@ -238,15 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_arrows.add_argument("-m", type=int, required=True)
     p_arrows.add_argument("-n", type=int, required=True)
     p_arrows.add_argument("-t", type=int, required=True)
-    p_arrows.add_argument("--budget-nodes", type=int, default=None)
-    p_arrows.add_argument("--budget-secs", type=float, default=None)
-    p_arrows.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
-    p_arrows.add_argument(
-        "--no-prune",
-        action="append",
-        choices=PRUNE_RULES,
-        help=_NO_PRUNE_HELP,
-    )
+    _add_search_flags(p_arrows)
     p_arrows.add_argument("-o", "--output", default=None, help="write the witness here")
     p_arrows.set_defaults(func=_cmd_arrows)
 
@@ -261,12 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="largest n to scan (default 2*t*t, where arrowing is guaranteed for m > t)",
     )
-    p_brfind.add_argument("--budget-nodes", type=int, default=None)
-    p_brfind.add_argument("--budget-secs", type=float, default=None)
-    p_brfind.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
-    p_brfind.add_argument(
-        "--no-prune", action="append", choices=PRUNE_RULES, help=_NO_PRUNE_HELP
-    )
+    _add_search_flags(p_brfind)
     p_brfind.set_defaults(func=_cmd_brfind)
 
     p_export = sub.add_parser("export-cnf", help="write the instance as DIMACS CNF")

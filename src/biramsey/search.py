@@ -244,7 +244,8 @@ class _Worker:
         self.m, self.n, self.t = inst.m, inst.n, inst.t
         self.cap = cap
         self.cap_on = cfg.enabled(RULE_DEGREE_CAP)
-        self.coverage_on = cfg.enabled(RULE_COVERAGE)
+        # with m < t no t-subset of rows exists, so coverage can never prune
+        self.coverage_on = cfg.enabled(RULE_COVERAGE) and inst.m >= inst.t
         self.canonical_on = cfg.enabled(RULE_CANONICAL)
         self.deadline = deadline
         self.attempt_limit = cfg.node_budget
@@ -257,12 +258,11 @@ class _Worker:
         self.rows: list[int] = []
         self.degs: list[int] = []
         self.used_mask = 0
-        self.col_rows = [0] * self.n
         # (start, length, incidence-over-assigned-rows) runs of interchangeable
         # columns, in label order; the canonical generator draws from these
         self.intervals: list[tuple[int, int, int]] = [(0, self.n, 0)]
-        self.interval_stack: list[list[tuple[int, int, int]]] = []
-        # unions[j] holds the column unions of all j-subsets of assigned rows
+        # unions[j] holds the column unions of all j-subsets of assigned rows;
+        # maintained only while coverage is on, the only rule that reads them
         self.unions: list[list[int]] = [[0]] + [[] for _ in range(self.t - 1)]
 
     # -- bookkeeping ---------------------------------------------------
@@ -278,16 +278,25 @@ class _Worker:
     def _try_candidate(self, mask: int, deg: int) -> None:
         self._checkpoints()
         self.attempts += 1
-
         n, m, t = self.n, self.m, self.t
+        coverage_on = self.coverage_on
+
+        # guard: a t-subset of assigned rows leaving >= t columns uncovered
+        # is final, whatever rows follow
+        if coverage_on:
+            limit = n - t
+            for uv in self.unions[t - 1]:
+                if (uv | mask).bit_count() <= limit:
+                    self.prunes[RULE_COVERAGE] += 1
+                    return
+
         # push
+        saved = (self.used_mask, self.intervals)
         self.rows.append(mask)
         self.degs.append(deg)
-        saved_used = self.used_mask
         self.used_mask |= mask
-        bit = 1 << (len(self.rows) - 1)
         if self.canonical_on:
-            self.interval_stack.append(self.intervals)
+            bit = 1 << (len(self.rows) - 1)
             refined = []
             for start, length, incidence in self.intervals:
                 c = ((mask >> start) & ((1 << length) - 1)).bit_count()
@@ -296,25 +305,12 @@ class _Worker:
                 if length - c:
                     refined.append((start + c, length - c, incidence))
             self.intervals = refined
+        union_lens = self._extend_unions(mask) if coverage_on else ()
+
+        # recurse
+        if coverage_on and not self._coverage_mixed_ok():
+            self.prunes[RULE_COVERAGE] += 1
         else:
-            col_rows = self.col_rows
-            mm = mask
-            while mm:
-                low = mm & -mm
-                col_rows[low.bit_length() - 1] |= bit
-                mm ^= low
-
-        union_lens = None
-        ok = True
-        if self.coverage_on and m >= t:
-            ok = self._coverage_exact_ok(mask)
-            if ok:
-                union_lens = self._extend_unions(mask)
-                ok = self._coverage_mixed_ok()
-        elif m >= t:
-            union_lens = self._extend_unions(mask)
-
-        if ok:
             self.nodes += 1
             if len(self.rows) == m:
                 candidate = BipartiteGraph(m, n, tuple(self.rows))
@@ -322,23 +318,11 @@ class _Worker:
                     self.found_masks = tuple(self.rows)
             else:
                 self._dfs()
-        else:
-            self.prunes[RULE_COVERAGE] += 1
 
-        # pop
-        if union_lens is not None:
-            for j, ln in union_lens:
-                del self.unions[j][ln:]
-        if self.canonical_on:
-            self.intervals = self.interval_stack.pop()
-        else:
-            col_rows = self.col_rows
-            mm = mask
-            while mm:
-                low = mm & -mm
-                col_rows[low.bit_length() - 1] &= ~bit
-                mm ^= low
-        self.used_mask = saved_used
+        # restore
+        for j, ln in union_lens:
+            del self.unions[j][ln:]
+        self.used_mask, self.intervals = saved
         self.rows.pop()
         self.degs.pop()
 
@@ -350,14 +334,6 @@ class _Worker:
             lens.append((j, len(lst)))
             lst.extend(uv | mask for uv in self.unions[j - 1])
         return lens
-
-    def _coverage_exact_ok(self, mask: int) -> bool:
-        # a t-subset of assigned rows leaving >= t columns uncovered is final
-        limit = self.n - self.t
-        for uv in self.unions[self.t - 1]:
-            if (uv | mask).bit_count() <= limit:
-                return False
-        return True
 
     def _coverage_mixed_ok(self) -> bool:
         # optimistic bound for t-subsets that still need future rows
@@ -442,7 +418,11 @@ class _Worker:
                 self.prunes[RULE_CANONICAL] += drop
                 del top[:drop]
         else:
-            col_rows = self.col_rows
+            # col_rows[c]: the assigned rows that contain column c
+            col_rows = [0] * n
+            for i, row in enumerate(self.rows):
+                for c in columns_from_mask(row):
+                    col_rows[c] |= 1 << i
 
             def rec_all(c0: int, omask: int, odeg: int, rows_hit: int) -> None:
                 if odeg < limit:

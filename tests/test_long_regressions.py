@@ -1,8 +1,8 @@
 """Opt-in long regressions: the slower published values, re-searched from scratch.
 
 Run with ``BIRAMSEY_LONG_TESTS=1 pytest tests/test_long_regressions.py``;
-roughly ten minutes total on two cores.  The default suite stays compact,
-so these are skipped unless asked for.
+roughly three minutes total (median of three runs on a 2-core machine).
+The default suite stays compact, so these are skipped unless asked for.
 """
 
 import os

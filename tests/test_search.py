@@ -236,10 +236,18 @@ class TestArrows:
 
     def test_6x39_witness_rediscovered_unseeded(self):
         # the canonical dense-first search finds the bundled 6x39 coloring
-        # itself (not merely an equivalent one) in a couple of seconds
+        # itself (not merely an equivalent one) in under a second
         out = arrows(ArrowingInstance(6, 39, 5))
         assert out.verdict == NOT_ARROWS
         assert out.certificate.graph == witness_6x39()
+        # the exact tree walked, so a change that shifts counting shows up
+        assert (out.stats.nodes, out.stats.attempts) == (2165, 396982)
+        assert out.stats.prunes == {
+            RULE_DEGREE_CAP: 1,
+            RULE_PAIR_BUDGET: 0,
+            RULE_COVERAGE: 394818,
+            RULE_CANONICAL: 20838,
+        }
 
 
 class TestSeeding:
@@ -310,6 +318,24 @@ class TestDeterminism:
             for threads in (2, 3, 4):
                 cfg = SearchConfig(node_budget=budget, threads=threads)
                 assert fingerprint(arrows(inst, cfg)) == reference, (m, n, t, budget, threads)
+
+    def test_worker_state_restored(self):
+        # every push in _try_candidate is undone, on exhaustion (ARROWS) and
+        # on the unwind after a good coloring is found (NOT_ARROWS)
+        configs = [SearchConfig()] + [
+            SearchConfig(disabled_rules=frozenset({rule})) for rule in PRUNE_RULES
+        ]
+        found = set()
+        for m, n, t in ((4, 4, 2), (5, 6, 2), (6, 7, 3)):
+            for cfg in configs:
+                worker = _Worker(ArrowingInstance(m, n, t), cfg, degree_cap(m, n, t), None)
+                initial = [[0]] + [[] for _ in range(t - 1)]
+                worker._dfs()
+                found.add(worker.found_masks is not None)
+                state = (worker.rows, worker.degs, worker.used_mask, worker.intervals,
+                         worker.unions)
+                assert state == ([], [], 0, [(0, n, 0)], initial), (m, n, t, cfg)
+        assert found == {True, False}
 
     def test_candidate_order(self, monkeypatch):
         # at every node the candidates are exactly the C4-compatible (and, with
