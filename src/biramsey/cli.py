@@ -50,6 +50,10 @@ _THREADS_HELP = (
     "accepted and validated (>= 1); the search runs serially, and the value "
     "is kept for a later parallel backend"
 )
+_BUDGET_SCOPE = (
+    "; the budget applies to one arrowing decision, so brfind gives every n, "
+    "and the re-run at n-1 for its witness, a fresh budget"
+)
 _NO_PRUNE_HELP = (
     "disable one pruning rule (repeatable); pair-budget is implied by "
     "generation and prunes nothing"
@@ -121,6 +125,9 @@ def _cmd_verify(args) -> int:
             text = handle.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
         return 1
     try:
         cert = parse_witness(text)
@@ -211,8 +218,12 @@ def _cmd_table(args) -> int:
 
 
 def _add_search_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--budget-nodes", type=int, default=None)
-    parser.add_argument("--budget-secs", type=float, default=None)
+    parser.add_argument(
+        "--budget-nodes", type=int, help="candidate attempts allowed" + _BUDGET_SCOPE
+    )
+    parser.add_argument(
+        "--budget-secs", type=float, help="wall-clock seconds allowed" + _BUDGET_SCOPE
+    )
     parser.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     parser.add_argument(
         "--no-prune", action="append", choices=PRUNE_RULES, help=_NO_PRUNE_HELP

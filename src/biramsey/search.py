@@ -17,12 +17,16 @@ pruning rules:
 
 A fourth name, pair-budget, is accepted but prunes nothing: rows of a C4-free
 graph occupy disjoint column pairs, so no candidate can overflow C(n,2), and
-both row generators already emit only rows that meet each earlier row in at
+the row generator already emits only rows that meet each earlier row in at
 most one column.  It is kept so ``disabled_rules`` and ``--no-prune`` accept
 it; its prune count is always 0.
 
-The search is one serial depth-first pass from the root.  Disabling every
-rule leaves a sound pure enumeration.
+The search is one serial depth-first pass from the root.  Its state is
+three immutable tuples: the assigned rows, the runs of interchangeable
+columns (with the rows incident to each), and the column unions of the
+j-subsets of rows for j < t.  Each node builds its child's state from its
+own and restores its own by assignment when the child returns.  Disabling
+every rule leaves a sound pure enumeration.
 """
 
 from __future__ import annotations
@@ -72,6 +76,8 @@ class ArrowingInstance:
 class SearchConfig:
     """Budgets and per-rule pruning toggles (for ablation).
 
+    Each budget applies to one ``arrows`` decision: ``find_br_m`` gives every
+    n it scans, and the re-run at n-1 for its witness, a fresh budget.
     ``threads`` is validated but does not change the search, which always
     runs serially; it is reserved for a later parallel backend.
     """
@@ -232,7 +238,8 @@ class _BudgetExceeded(Exception):
 
 
 class _Worker:
-    """One deterministic depth-first search from the root."""
+    """One deterministic depth-first search from the root, over the immutable
+    state ``rows``, ``intervals`` and ``unions`` (see the module docstring)."""
 
     def __init__(
         self,
@@ -255,99 +262,33 @@ class _Worker:
         self.prunes = {rule: 0 for rule in PRUNE_RULES}
         self.found_masks: tuple[int, ...] | None = None
 
-        self.rows: list[int] = []
-        self.degs: list[int] = []
-        self.used_mask = 0
+        self.rows: tuple[int, ...] = ()
         # (start, length, incidence-over-assigned-rows) runs of interchangeable
-        # columns, in label order; the canonical generator draws from these
-        self.intervals: list[tuple[int, int, int]] = [(0, self.n, 0)]
-        # unions[j] holds the column unions of all j-subsets of assigned rows;
-        # maintained only while coverage is on, the only rule that reads them
-        self.unions: list[list[int]] = [[0]] + [[] for _ in range(self.t - 1)]
-
-    # -- bookkeeping ---------------------------------------------------
-
-    def _checkpoints(self) -> None:
-        # runs before an attempt is counted, so a trip reports exactly the budget
-        if self.attempt_limit is not None and self.attempts >= self.attempt_limit:
-            raise _BudgetExceeded
-        if not (self.attempts & 255):
-            if self.deadline is not None and time.monotonic() > self.deadline:
-                raise _BudgetExceeded
-
-    def _try_candidate(self, mask: int, deg: int) -> None:
-        self._checkpoints()
-        self.attempts += 1
-        n, m, t = self.n, self.m, self.t
-        coverage_on = self.coverage_on
-
-        # guard: a t-subset of assigned rows leaving >= t columns uncovered
-        # is final, whatever rows follow
-        if coverage_on:
-            limit = n - t
-            for uv in self.unions[t - 1]:
-                if (uv | mask).bit_count() <= limit:
-                    self.prunes[RULE_COVERAGE] += 1
-                    return
-
-        # push
-        saved = (self.used_mask, self.intervals)
-        self.rows.append(mask)
-        self.degs.append(deg)
-        self.used_mask |= mask
+        # columns, in label order.  With canonical-order on they start as one
+        # run, and the never-used columns stay the last run; with it off every
+        # column is its own run, so refinement only updates incidences.
         if self.canonical_on:
-            bit = 1 << (len(self.rows) - 1)
-            refined = []
-            for start, length, incidence in self.intervals:
-                c = ((mask >> start) & ((1 << length) - 1)).bit_count()
-                if c:
-                    refined.append((start, c, incidence | bit))
-                if length - c:
-                    refined.append((start + c, length - c, incidence))
-            self.intervals = refined
-        union_lens = self._extend_unions(mask) if coverage_on else ()
-
-        # recurse
-        if coverage_on and not self._coverage_mixed_ok():
-            self.prunes[RULE_COVERAGE] += 1
+            self.intervals: tuple[tuple[int, int, int], ...] = ((0, self.n, 0),)
         else:
-            self.nodes += 1
-            if len(self.rows) == m:
-                candidate = BipartiteGraph(m, n, tuple(self.rows))
-                if verify_good_coloring(candidate, t).valid:
-                    self.found_masks = tuple(self.rows)
-            else:
-                self._dfs()
-
-        # restore
-        for j, ln in union_lens:
-            del self.unions[j][ln:]
-        self.used_mask, self.intervals = saved
-        self.rows.pop()
-        self.degs.pop()
-
-    def _extend_unions(self, mask: int) -> list[tuple[int, int]]:
-        lens = []
-        top = min(self.t - 1, len(self.rows))
-        for j in range(top, 0, -1):
-            lst = self.unions[j]
-            lens.append((j, len(lst)))
-            lst.extend(uv | mask for uv in self.unions[j - 1])
-        return lens
+            self.intervals = tuple((c, 1, 0) for c in range(self.n))
+        # unions[j] holds the column unions of all j-subsets of assigned rows;
+        # extended only while coverage is on, the only rule that reads them
+        self.unions: tuple[tuple[int, ...], ...] = ((0,),) + ((),) * (self.t - 1)
 
     def _coverage_mixed_ok(self) -> bool:
         # optimistic bound for t-subsets that still need future rows
         m, n, t = self.m, self.n, self.t
-        k1 = len(self.rows)
+        rows = self.rows
+        k1 = len(rows)
         future = m - k1
         if future <= 0:
             return True
         fb = n
         if self.cap_on and self.cap < fb:
             fb = self.cap
-        if self.canonical_on and self.degs and self.degs[-1] < fb:
-            fb = self.degs[-1]
-        ordered = sorted(self.degs)
+        if self.canonical_on and rows and rows[-1].bit_count() < fb:
+            fb = rows[-1].bit_count()
+        ordered = sorted(row.bit_count() for row in rows)
         limit = n - t
         acc = 0
         top = min(t - 1, k1)
@@ -365,83 +306,118 @@ class _Worker:
 
     def _gen_limit(self) -> int:
         limit = self.n
-        if self.canonical_on and self.degs:
-            limit = min(limit, self.degs[-1])
+        if self.canonical_on and self.rows:
+            limit = min(limit, self.rows[-1].bit_count())
         if self.cap_on and self.cap < limit:
             self.prunes[RULE_DEGREE_CAP] += 1
             limit = self.cap
         return limit
 
-    def candidates(self) -> list[tuple[int, int]]:
-        """Extendable row masks at the current depth, as (deg, mask), ordered
-        degree-descending then column-lex-descending.
+    def candidates(self) -> list[int]:
+        """Extendable row masks at the current depth, ordered degree-descending
+        then column-lex-descending.
 
         No sort is needed: within one degree no candidate extends another, so
         emitting each subset after its extensions, taken in increasing column
         order, already lists every degree in column-lex-descending order.
         """
-        n = self.n
         limit = self._gen_limit()
         by_deg: list[list[int]] = [[] for _ in range(limit + 1)]
 
+        # a row takes the first column of some incidence-disjoint intervals
+        # (pools) plus, with canonical-order on, a leading block of the
+        # never-used columns, which are the last interval when any remain
+        intervals = self.intervals
+        u = max_new = 0
         if self.canonical_on:
-            # a canonical row takes the first column of some incidence-disjoint
-            # used intervals plus a leading block of never-used columns
-            u = self.used_mask.bit_count()
-            max_new = n - u
-            pools = [
-                (1 << start, incidence)
-                for start, _length, incidence in self.intervals
-                if incidence
-            ]
+            start, length, incidence = intervals[-1]
+            if not incidence:
+                u, max_new = start, length
+                intervals = intervals[:-1]
+        pools = [(1 << start, incidence) for start, _length, incidence in intervals]
 
-            def rec(idx: int, omask: int, odeg: int, rows_hit: int) -> None:
-                if odeg < limit:
-                    for body in range(idx, len(pools)):
-                        cbit, incidence = pools[body]
-                        if incidence & rows_hit:
-                            continue
-                        rec(body + 1, omask | cbit, odeg + 1, rows_hit | incidence)
-                hi = limit - odeg
-                if max_new < hi:
-                    hi = max_new
-                for k in range(hi + 1):
-                    by_deg[odeg + k].append(omask | (((1 << k) - 1) << u))
+        def rec(idx: int, omask: int, odeg: int, rows_hit: int) -> None:
+            if odeg < limit:
+                for body in range(idx, len(pools)):
+                    cbit, incidence = pools[body]
+                    if incidence & rows_hit:
+                        continue
+                    rec(body + 1, omask | cbit, odeg + 1, rows_hit | incidence)
+            hi = limit - odeg
+            if max_new < hi:
+                hi = max_new
+            for k in range(hi + 1):
+                by_deg[odeg + k].append(omask | (((1 << k) - 1) << u))
 
-            rec(0, 0, 0, 0)
-            if self.degs and self.degs[-1] == limit:
-                # rows tying the last row's degree but above it come first
-                top, last = by_deg[limit], self.rows[-1]
-                drop = 0
-                while drop < len(top) and not _lex_le(top[drop], last):
-                    drop += 1
-                self.prunes[RULE_CANONICAL] += drop
-                del top[:drop]
-        else:
-            # col_rows[c]: the assigned rows that contain column c
-            col_rows = [0] * n
-            for i, row in enumerate(self.rows):
-                for c in columns_from_mask(row):
-                    col_rows[c] |= 1 << i
+        rec(0, 0, 0, 0)
+        rows = self.rows
+        if self.canonical_on and rows and rows[-1].bit_count() == limit:
+            # rows tying the last row's degree but above it come first
+            top, last = by_deg[limit], rows[-1]
+            drop = 0
+            while drop < len(top) and not _lex_le(top[drop], last):
+                drop += 1
+            self.prunes[RULE_CANONICAL] += drop
+            del top[:drop]
 
-            def rec_all(c0: int, omask: int, odeg: int, rows_hit: int) -> None:
-                if odeg < limit:
-                    for c in range(c0, n):
-                        cr = col_rows[c]
-                        if cr & rows_hit:
-                            continue
-                        rec_all(c + 1, omask | (1 << c), odeg + 1, rows_hit | cr)
-                by_deg[odeg].append(omask)
-
-            rec_all(0, 0, 0, 0)
-
-        return [(deg, mask) for deg in range(limit, -1, -1) for mask in by_deg[deg]]
+        return [mask for deg in range(limit, -1, -1) for mask in by_deg[deg]]
 
     def _dfs(self) -> None:
-        for deg, mask in self.candidates():
-            self._try_candidate(mask, deg)
-            if self.found_masks is not None:
-                return
+        rows, intervals, unions = self.rows, self.intervals, self.unions
+        m, n, t = self.m, self.n, self.t
+        coverage_on = self.coverage_on
+        # a t-subset of assigned rows leaving >= t columns uncovered is final,
+        # whatever rows follow
+        finals = unions[t - 1] if coverage_on else ()
+        uncovered_limit = n - t
+        attempt_limit, deadline = self.attempt_limit, self.deadline
+        row_bit = 1 << len(rows)  # the child row's incidence bit
+
+        for mask in self.candidates():
+            # budget, checked before the attempt is counted, so a trip
+            # reports exactly the budget
+            if attempt_limit is not None and self.attempts >= attempt_limit:
+                raise _BudgetExceeded
+            if not (self.attempts & 255):
+                if deadline is not None and time.monotonic() > deadline:
+                    raise _BudgetExceeded
+            self.attempts += 1
+
+            for uv in finals:
+                if (uv | mask).bit_count() <= uncovered_limit:
+                    self.prunes[RULE_COVERAGE] += 1
+                    break
+            else:
+                # no t-subset is final: build the child's state
+                refined = []
+                for start, length, incidence in intervals:
+                    c = ((mask >> start) & ((1 << length) - 1)).bit_count()
+                    if c:
+                        refined.append((start, c, incidence | row_bit))
+                    if length - c:
+                        refined.append((start + c, length - c, incidence))
+                self.rows = rows + (mask,)
+                self.intervals = tuple(refined)
+                if coverage_on:
+                    child = [unions[0]]
+                    for j in range(1, t):
+                        child.append(unions[j] + tuple([uv | mask for uv in unions[j - 1]]))
+                    self.unions = tuple(child)
+
+                if coverage_on and not self._coverage_mixed_ok():
+                    self.prunes[RULE_COVERAGE] += 1
+                else:
+                    self.nodes += 1
+                    if len(self.rows) == m:
+                        candidate = BipartiteGraph(m, n, self.rows)
+                        if verify_good_coloring(candidate, t).valid:
+                            self.found_masks = self.rows
+                    else:
+                        self._dfs()
+
+                self.rows, self.intervals, self.unions = rows, intervals, unions
+                if self.found_masks is not None:
+                    return
 
 
 def arrows(

@@ -59,6 +59,13 @@ class TestVerify:
         assert code == 1
         assert "line 1" in err
 
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"biramsey-witness v1\n\xff\n")
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 1
+        assert err.startswith("parse error: ")
+
     def test_missing_file_exit_1(self, capsys):
         code, _, err = run(capsys, "verify", "/nonexistent/path.txt")
         assert code == 1

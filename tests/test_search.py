@@ -249,6 +249,29 @@ class TestArrows:
             RULE_CANONICAL: 20838,
         }
 
+    def test_arrows_counts_pinned(self):
+        # the exact trees of ARROWS decisions: the benchmark's t=4 instances
+        # and a 5x12 t=3 search with and without single rules
+        cases = (
+            (8, 19, 4, None, 1896, 125556, 1, 123661, 7742),
+            (8, 20, 4, None, 643, 43929, 1, 43287, 989),
+            (6, 23, 4, None, 644, 40356, 1, 39713, 2027),
+            (5, 12, 3, None, 36, 785, 1, 750, 21),
+            (5, 12, 3, RULE_DEGREE_CAP, 64, 1069, 0, 1006, 22),
+            (5, 12, 3, RULE_COVERAGE, 37385, 37384, 1, 0, 12224),
+        )
+        for m, n, t, off, nodes, attempts, cap, coverage, canonical in cases:
+            cfg = SearchConfig(disabled_rules=frozenset({off} if off else ()))
+            out = arrows(ArrowingInstance(m, n, t), cfg)
+            assert out.verdict == ARROWS, (m, n, t, off)
+            assert (out.stats.nodes, out.stats.attempts) == (nodes, attempts), (m, n, t, off)
+            assert out.stats.prunes == {
+                RULE_DEGREE_CAP: cap,
+                RULE_PAIR_BUDGET: 0,
+                RULE_COVERAGE: coverage,
+                RULE_CANONICAL: canonical,
+            }, (m, n, t, off)
+
 
 class TestSeeding:
     def test_witness_6x39_seed(self):
@@ -292,6 +315,17 @@ class TestBudgets:
         out = arrows(ArrowingInstance(4, 4, 2), SearchConfig(time_budget=30.0))
         assert out.verdict == NOT_ARROWS
 
+    def test_time_budget_trips(self):
+        # an already-passed deadline stops the search before its first attempt
+        cfg = SearchConfig(time_budget=1e-9)
+        out = arrows(ArrowingInstance(6, 40, 5), cfg)
+        assert out.verdict == BUDGET_EXHAUSTED
+        assert out.stats.attempts == 0
+        assert out.certificate is None
+        record = find_br_m(6, 5, 45, cfg)
+        assert record.status == LOWER_BOUND
+        assert record.bound == 5
+
     def test_config_validation(self):
         with pytest.raises(UsageError):
             SearchConfig(threads=0)
@@ -320,7 +354,7 @@ class TestDeterminism:
                 assert fingerprint(arrows(inst, cfg)) == reference, (m, n, t, budget, threads)
 
     def test_worker_state_restored(self):
-        # every push in _try_candidate is undone, on exhaustion (ARROWS) and
+        # every child state set in _dfs is undone, on exhaustion (ARROWS) and
         # on the unwind after a good coloring is found (NOT_ARROWS)
         configs = [SearchConfig()] + [
             SearchConfig(disabled_rules=frozenset({rule})) for rule in PRUNE_RULES
@@ -329,12 +363,11 @@ class TestDeterminism:
         for m, n, t in ((4, 4, 2), (5, 6, 2), (6, 7, 3)):
             for cfg in configs:
                 worker = _Worker(ArrowingInstance(m, n, t), cfg, degree_cap(m, n, t), None)
-                initial = [[0]] + [[] for _ in range(t - 1)]
+                initial = (worker.rows, worker.intervals, worker.unions)
                 worker._dfs()
                 found.add(worker.found_masks is not None)
-                state = (worker.rows, worker.degs, worker.used_mask, worker.intervals,
-                         worker.unions)
-                assert state == ([], [], 0, [(0, n, 0)], initial), (m, n, t, cfg)
+                state = (worker.rows, worker.intervals, worker.unions)
+                assert state == initial, (m, n, t, cfg)
         assert found == {True, False}
 
     def test_candidate_order(self, monkeypatch):
@@ -351,10 +384,10 @@ class TestDeterminism:
             checked += 1
             before = worker.prunes[RULE_CANONICAL]
             out = original(worker)
-            masks = [mask for _deg, mask in out]
-            assert all(deg == mask.bit_count() for deg, mask in out)
-            assert len(set(masks)) == len(masks)
-            assert out == sorted(out, key=lambda dm: (-dm[0], columns_from_mask(dm[1])))
+            assert len(set(out)) == len(out)
+            assert out == sorted(
+                out, key=lambda mask: (-mask.bit_count(), columns_from_mask(mask))
+            )
 
             n, rows, canonical = worker.n, worker.rows, worker.canonical_on
             limit = degree_cap(worker.m, n, worker.t) if worker.cap_on else n
@@ -374,7 +407,7 @@ class TestDeterminism:
                     above += 1
                 else:
                     expected.add(mask)
-            assert set(masks) == expected, rows
+            assert set(out) == expected, rows
             assert worker.prunes[RULE_CANONICAL] - before == above, rows
             return out
 
