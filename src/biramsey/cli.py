@@ -7,7 +7,8 @@ complement; NOT_ARROWS means a good coloring exists and is attached as a
 witness.  Rows and columns are printed with 1-based labels.
 
 Exit codes: ``verify`` 0 valid / 2 invalid / 1 parse error; ``arrows`` 0
-ARROWS / 3 NOT_ARROWS / 4 budget exhausted.
+ARROWS / 3 NOT_ARROWS / 4 budget exhausted.  Every command exits 2 on a
+usage error and 1 when a file cannot be read or written.
 """
 
 from __future__ import annotations
@@ -299,6 +300,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -21,12 +21,13 @@ the row generator already emits only rows that meet each earlier row in at
 most one column.  It is kept so ``disabled_rules`` and ``--no-prune`` accept
 it; its prune count is always 0.
 
-The search is one serial depth-first pass from the root.  Its state is
-three immutable tuples: the assigned rows, the runs of interchangeable
-columns (with the rows incident to each), and the column unions of the
-j-subsets of rows for j < t.  Each node builds its child's state from its
-own and restores its own by assignment when the child returns.  Disabling
-every rule leaves a sound pure enumeration.
+The search is one serial depth-first pass from the root.  Its state is the
+argument list of ``_Worker._dfs``, three immutable tuples: the assigned
+rows, the runs of interchangeable columns (with the rows incident to each),
+and the column unions of the j-subsets of rows for j < t.  Each node checks
+itself on entry (the mixed coverage bound, then the leaf verification) and
+hands every child freshly built tuples, so nothing is restored on return.
+Disabling every rule leaves a sound pure enumeration.
 """
 
 from __future__ import annotations
@@ -92,8 +93,9 @@ class SearchConfig:
             raise UsageError(f"threads must be >= 1, got {self.threads}")
         if self.node_budget is not None and self.node_budget < 1:
             raise UsageError("node budget must be >= 1")
-        if self.time_budget is not None and self.time_budget <= 0:
-            raise UsageError("time budget must be positive")
+        # written so that NaN fails too: a NaN deadline would never trip
+        if self.time_budget is not None and not self.time_budget > 0:
+            raise UsageError(f"time budget must be positive, got {self.time_budget}")
         unknown = set(self.disabled_rules) - set(PRUNE_RULES)
         if unknown:
             raise UsageError(f"unknown pruning rules: {sorted(unknown)}")
@@ -238,56 +240,56 @@ class _BudgetExceeded(Exception):
 
 
 class _Worker:
-    """One deterministic depth-first search from the root, over the immutable
-    state ``rows``, ``intervals`` and ``unions`` (see the module docstring)."""
+    """One deterministic depth-first search.  The search position is the
+    arguments of ``_dfs``, the immutable ``rows``, ``intervals`` and
+    ``unions`` (see the module docstring); the worker holds only the
+    instance, the rule toggles, the budgets and the counts."""
 
-    def __init__(
-        self,
-        inst: ArrowingInstance,
-        cfg: SearchConfig,
-        cap: int,
-        deadline: float | None,
-    ):
+    def __init__(self, inst: ArrowingInstance, cfg: SearchConfig):
         self.m, self.n, self.t = inst.m, inst.n, inst.t
-        self.cap = cap
+        self.cap = degree_cap(inst.m, inst.n, inst.t)
         self.cap_on = cfg.enabled(RULE_DEGREE_CAP)
         # with m < t no t-subset of rows exists, so coverage can never prune
         self.coverage_on = cfg.enabled(RULE_COVERAGE) and inst.m >= inst.t
         self.canonical_on = cfg.enabled(RULE_CANONICAL)
-        self.deadline = deadline
+        self.deadline = time.monotonic() + cfg.time_budget if cfg.time_budget else None
         self.attempt_limit = cfg.node_budget
 
         self.nodes = 0
         self.attempts = 0
         self.prunes = {rule: 0 for rule in PRUNE_RULES}
-        self.found_masks: tuple[int, ...] | None = None
 
-        self.rows: tuple[int, ...] = ()
+    def run(self) -> tuple[int, ...] | None:
+        """Search from the root: the rows of the first good coloring, or None."""
         # (start, length, incidence-over-assigned-rows) runs of interchangeable
         # columns, in label order.  With canonical-order on they start as one
         # run, and the never-used columns stay the last run; with it off every
         # column is its own run, so refinement only updates incidences.
         if self.canonical_on:
-            self.intervals: tuple[tuple[int, int, int], ...] = ((0, self.n, 0),)
+            intervals: tuple[tuple[int, int, int], ...] = ((0, self.n, 0),)
         else:
-            self.intervals = tuple((c, 1, 0) for c in range(self.n))
+            intervals = tuple((c, 1, 0) for c in range(self.n))
         # unions[j] holds the column unions of all j-subsets of assigned rows;
         # extended only while coverage is on, the only rule that reads them
-        self.unions: tuple[tuple[int, ...], ...] = ((0,),) + ((),) * (self.t - 1)
+        unions: tuple[tuple[int, ...], ...] = ((0,),) + ((),) * (self.t - 1)
+        return self._dfs((), intervals, unions)
 
-    def _coverage_mixed_ok(self) -> bool:
+    def _degree_limit(self, rows: tuple[int, ...]) -> int:
+        # the next row's degree bound before the degree cap
+        if self.canonical_on and rows:
+            return rows[-1].bit_count()
+        return self.n
+
+    def _coverage_mixed_ok(self, rows: tuple[int, ...]) -> bool:
         # optimistic bound for t-subsets that still need future rows
         m, n, t = self.m, self.n, self.t
-        rows = self.rows
         k1 = len(rows)
         future = m - k1
         if future <= 0:
             return True
-        fb = n
+        fb = self._degree_limit(rows)
         if self.cap_on and self.cap < fb:
             fb = self.cap
-        if self.canonical_on and rows and rows[-1].bit_count() < fb:
-            fb = rows[-1].bit_count()
         ordered = sorted(row.bit_count() for row in rows)
         limit = n - t
         acc = 0
@@ -304,30 +306,25 @@ class _Worker:
 
     # -- candidate generation -------------------------------------------
 
-    def _gen_limit(self) -> int:
-        limit = self.n
-        if self.canonical_on and self.rows:
-            limit = min(limit, self.rows[-1].bit_count())
-        if self.cap_on and self.cap < limit:
-            self.prunes[RULE_DEGREE_CAP] += 1
-            limit = self.cap
-        return limit
-
-    def candidates(self) -> list[int]:
-        """Extendable row masks at the current depth, ordered degree-descending
-        then column-lex-descending.
+    def candidates(
+        self, rows: tuple[int, ...], intervals: tuple[tuple[int, int, int], ...]
+    ) -> list[int]:
+        """Extendable row masks after ``rows``, ordered degree-descending then
+        column-lex-descending.
 
         No sort is needed: within one degree no candidate extends another, so
         emitting each subset after its extensions, taken in increasing column
         order, already lists every degree in column-lex-descending order.
         """
-        limit = self._gen_limit()
+        limit = self._degree_limit(rows)
+        if self.cap_on and self.cap < limit:
+            self.prunes[RULE_DEGREE_CAP] += 1
+            limit = self.cap
         by_deg: list[list[int]] = [[] for _ in range(limit + 1)]
 
         # a row takes the first column of some incidence-disjoint intervals
         # (pools) plus, with canonical-order on, a leading block of the
         # never-used columns, which are the last interval when any remain
-        intervals = self.intervals
         u = max_new = 0
         if self.canonical_on:
             start, length, incidence = intervals[-1]
@@ -350,7 +347,6 @@ class _Worker:
                 by_deg[odeg + k].append(omask | (((1 << k) - 1) << u))
 
         rec(0, 0, 0, 0)
-        rows = self.rows
         if self.canonical_on and rows and rows[-1].bit_count() == limit:
             # rows tying the last row's degree but above it come first
             top, last = by_deg[limit], rows[-1]
@@ -362,10 +358,24 @@ class _Worker:
 
         return [mask for deg in range(limit, -1, -1) for mask in by_deg[deg]]
 
-    def _dfs(self) -> None:
-        rows, intervals, unions = self.rows, self.intervals, self.unions
+    def _dfs(
+        self,
+        rows: tuple[int, ...],
+        intervals: tuple[tuple[int, int, int], ...],
+        unions: tuple[tuple[int, ...], ...],
+    ) -> tuple[int, ...] | None:
+        """The rows of the first good coloring at or below this node, or None."""
         m, n, t = self.m, self.n, self.t
         coverage_on = self.coverage_on
+        if coverage_on and not self._coverage_mixed_ok(rows):
+            self.prunes[RULE_COVERAGE] += 1
+            return None
+        self.nodes += 1
+        if len(rows) == m:
+            if verify_good_coloring(BipartiteGraph(m, n, rows), t).valid:
+                return rows
+            return None
+
         # a t-subset of assigned rows leaving >= t columns uncovered is final,
         # whatever rows follow
         finals = unions[t - 1] if coverage_on else ()
@@ -373,7 +383,7 @@ class _Worker:
         attempt_limit, deadline = self.attempt_limit, self.deadline
         row_bit = 1 << len(rows)  # the child row's incidence bit
 
-        for mask in self.candidates():
+        for mask in self.candidates(rows, intervals):
             # budget, checked before the attempt is counted, so a trip
             # reports exactly the budget
             if attempt_limit is not None and self.attempts >= attempt_limit:
@@ -396,28 +406,16 @@ class _Worker:
                         refined.append((start, c, incidence | row_bit))
                     if length - c:
                         refined.append((start + c, length - c, incidence))
-                self.rows = rows + (mask,)
-                self.intervals = tuple(refined)
+                child_unions = unions
                 if coverage_on:
                     child = [unions[0]]
                     for j in range(1, t):
                         child.append(unions[j] + tuple([uv | mask for uv in unions[j - 1]]))
-                    self.unions = tuple(child)
-
-                if coverage_on and not self._coverage_mixed_ok():
-                    self.prunes[RULE_COVERAGE] += 1
-                else:
-                    self.nodes += 1
-                    if len(self.rows) == m:
-                        candidate = BipartiteGraph(m, n, self.rows)
-                        if verify_good_coloring(candidate, t).valid:
-                            self.found_masks = self.rows
-                    else:
-                        self._dfs()
-
-                self.rows, self.intervals, self.unions = rows, intervals, unions
-                if self.found_masks is not None:
-                    return
+                    child_unions = tuple(child)
+                found = self._dfs(rows + (mask,), tuple(refined), child_unions)
+                if found is not None:
+                    return found
+        return None
 
 
 def arrows(
@@ -449,28 +447,20 @@ def arrows(
             stats = SearchStats(0, 0, base_prunes, time.perf_counter() - start)
             return SearchOutcome(NOT_ARROWS, stats, cert)
 
-    cap = degree_cap(inst.m, inst.n, inst.t)
-    deadline = time.monotonic() + cfg.time_budget if cfg.time_budget else None
-
-    worker = _Worker(inst, cfg, cap, deadline)
+    worker = _Worker(inst, cfg)
+    found = None
     budget_hit = False
-    # the root can be decided before any extension when even t rows of
-    # maximal degree cannot cover enough columns
-    if worker.coverage_on and not worker._coverage_mixed_ok():
-        worker.prunes[RULE_COVERAGE] += 1
-    else:
-        try:
-            worker._dfs()
-        except _BudgetExceeded:
-            budget_hit = True
+    try:
+        found = worker.run()
+    except _BudgetExceeded:
+        budget_hit = True
 
     elapsed = time.perf_counter() - start
-    # the root itself counts as one node
-    stats = SearchStats(worker.nodes + 1, worker.attempts, worker.prunes, elapsed)
+    # the root counts as one node even when the coverage bound prunes it
+    stats = SearchStats(max(worker.nodes, 1), worker.attempts, worker.prunes, elapsed)
 
-    if worker.found_masks is not None:
-        graph = BipartiteGraph(inst.m, inst.n, worker.found_masks)
-        cert = verify_good_coloring(graph, inst.t)
+    if found is not None:
+        cert = verify_good_coloring(BipartiteGraph(inst.m, inst.n, found), inst.t)
         if not cert.valid:
             raise RuntimeError("search produced an invalid witness; this is a bug")
         return SearchOutcome(NOT_ARROWS, stats, cert)
@@ -500,7 +490,7 @@ def find_br_m(
             note="m <= t: star construction",
         )
     prev_cert: WitnessCertificate | None = None
-    for n in range(max(t, 1), n_limit + 1):
+    for n in range(t, n_limit + 1):
         outcome = arrows(ArrowingInstance(m, n, t), cfg)
         if outcome.verdict == BUDGET_EXHAUSTED:
             return KnownValueRecord(

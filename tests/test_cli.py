@@ -126,6 +126,33 @@ class TestArrows:
         with pytest.raises(SystemExit):
             main(["arrows", "-m", "2", "-n", "2", "-t", "2", "--no-prune", "magic"])
 
+    def test_nan_time_budget_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "arrows", "-m", "4", "-n", "4", "-t", "2", "--budget-secs", "nan"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: time budget must be positive")
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("arrows", "-m", "4", "-n", "4", "-t", "2", "-o"),
+            ("export-cnf", "-m", "3", "-n", "3", "-t", "2", "-o"),
+            ("fixtures", "emit", "witness_6x39"),
+        ],
+        ids=["arrows", "export-cnf", "fixtures-emit"],
+    )
+    def test_unwritable_output_exit_1(self, argv, tmp_path, capsys):
+        path = tmp_path / "missing" / "out.txt"
+        code, _, err = run(capsys, *argv, str(path))
+        assert code == 1
+        assert err.startswith("error: ")
+        assert str(path) in err
+        assert not path.exists()
+
 
 class TestBrfind:
     def test_nonexistent(self, capsys):
