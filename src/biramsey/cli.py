@@ -8,12 +8,14 @@ witness.  Rows and columns are printed with 1-based labels.
 
 Exit codes: ``verify`` 0 valid / 2 invalid / 1 parse error; ``arrows`` 0
 ARROWS / 3 NOT_ARROWS / 4 budget exhausted.  Every command exits 2 on a
-usage error and 1 when a file cannot be read or written.
+usage error and 1 when a file cannot be read or written; ``arrows -o``
+checks its path before the search, so that failure costs no search.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -166,8 +168,27 @@ def _search_config(args) -> SearchConfig:
     )
 
 
+def _check_writable(path: str) -> None:
+    """Raise the OSError that writing ``path`` would, without creating it."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(parent, os.W_OK) or (
+        os.path.exists(path) and not os.access(path, os.W_OK)
+    ):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _cmd_arrows(args) -> int:
     inst = ArrowingInstance(args.m, args.n, args.t)
+    if args.output:
+        # before the search, so a bad path does not cost the search its witness
+        _check_writable(args.output)
     outcome = arrows(inst, _search_config(args))
     print(
         f"instance: m={inst.m} n={inst.n} t={inst.t} "

@@ -24,9 +24,21 @@ it; its prune count is always 0.
 The search is one serial depth-first pass from the root.  Its state is the
 argument list of ``_Worker._dfs``, three immutable tuples: the assigned
 rows, the runs of interchangeable columns (with the rows incident to each),
-and the column unions of the j-subsets of rows for j < t.  Each node checks
-itself on entry (the mixed coverage bound, then the leaf verification) and
-hands every child freshly built tuples, so nothing is restored on return.
+and the column unions of the j-subsets of rows for j < t.  A node receives
+its parent's runs and unions and checks itself on entry (the mixed coverage
+bound, then the leaf verification); only a node that passes refines them by
+its own last row, so a pruned child or a leaf never builds its state.
+Nothing is restored on return.
+
+Rows too sparse to pass coverage are never built.  Let U be the fewest
+columns covered by any t-1 assigned rows: a row of degree at most n - t - U
+joins those rows in covering at most n - t columns, leaving a complement
+K_{t,t}.  So ``candidates`` takes a degree floor n - t + 1 - U and only
+counts the rows under it, which are the tail of its degree-descending order;
+the node adds them to the attempts and the coverage prunes in one step, so
+every count, and with it the node budget, is what trying them one by one
+gives.
+
 Disabling every rule leaves a sound pure enumeration.
 """
 
@@ -307,20 +319,31 @@ class _Worker:
     # -- candidate generation -------------------------------------------
 
     def candidates(
-        self, rows: tuple[int, ...], intervals: tuple[tuple[int, int, int], ...]
-    ) -> list[int]:
-        """Extendable row masks after ``rows``, ordered degree-descending then
-        column-lex-descending.
+        self,
+        rows: tuple[int, ...],
+        intervals: tuple[tuple[int, int, int], ...],
+        floor: int,
+    ) -> tuple[list[int], int]:
+        """Extendable row masks after ``rows`` of degree at least ``floor``,
+        ordered degree-descending then column-lex-descending, and the number
+        of extendable rows below ``floor``.
 
         No sort is needed: within one degree no candidate extends another, so
         emitting each subset after its extensions, taken in increasing column
         order, already lists every degree in column-lex-descending order.
+        The rows under the floor, the tail of that order, are only counted:
+        the caller knows the coverage test rejects every one of them.  The
+        floor is clamped to the degree limit, so the top degree, where the
+        canonical-order prunes are counted, is always built.
         """
         limit = self._degree_limit(rows)
         if self.cap_on and self.cap < limit:
             self.prunes[RULE_DEGREE_CAP] += 1
             limit = self.cap
+        if floor > limit:
+            floor = limit
         by_deg: list[list[int]] = [[] for _ in range(limit + 1)]
+        below = 0
 
         # a row takes the first column of some incidence-disjoint intervals
         # (pools) plus, with canonical-order on, a leading block of the
@@ -334,6 +357,7 @@ class _Worker:
         pools = [(1 << start, incidence) for start, _length, incidence in intervals]
 
         def rec(idx: int, omask: int, odeg: int, rows_hit: int) -> None:
+            nonlocal below
             if odeg < limit:
                 for body in range(idx, len(pools)):
                     cbit, incidence = pools[body]
@@ -343,7 +367,12 @@ class _Worker:
             hi = limit - odeg
             if max_new < hi:
                 hi = max_new
-            for k in range(hi + 1):
+            lo = floor - odeg
+            if lo > 0:
+                below += lo if lo <= hi else hi + 1
+            else:
+                lo = 0
+            for k in range(lo, hi + 1):
                 by_deg[odeg + k].append(omask | (((1 << k) - 1) << u))
 
         rec(0, 0, 0, 0)
@@ -356,7 +385,8 @@ class _Worker:
             self.prunes[RULE_CANONICAL] += drop
             del top[:drop]
 
-        return [mask for deg in range(limit, -1, -1) for mask in by_deg[deg]]
+        masks = [mask for deg in range(limit, floor - 1, -1) for mask in by_deg[deg]]
+        return masks, below
 
     def _dfs(
         self,
@@ -364,7 +394,11 @@ class _Worker:
         intervals: tuple[tuple[int, int, int], ...],
         unions: tuple[tuple[int, ...], ...],
     ) -> tuple[int, ...] | None:
-        """The rows of the first good coloring at or below this node, or None."""
+        """The rows of the first good coloring at or below this node, or None.
+
+        ``intervals`` and ``unions`` describe ``rows[:-1]``, the parent's
+        rows; the node refines them by its own row only once its checks pass.
+        """
         m, n, t = self.m, self.n, self.t
         coverage_on = self.coverage_on
         if coverage_on and not self._coverage_mixed_ok(rows):
@@ -376,14 +410,38 @@ class _Worker:
                 return rows
             return None
 
+        if rows:
+            # the node's own state: refine the parent's by the last row
+            row, row_bit = rows[-1], 1 << (len(rows) - 1)
+            refined = []
+            for start, length, incidence in intervals:
+                c = ((row >> start) & ((1 << length) - 1)).bit_count()
+                if c:
+                    refined.append((start, c, incidence | row_bit))
+                if length - c:
+                    refined.append((start + c, length - c, incidence))
+            intervals = tuple(refined)
+            if coverage_on:
+                extended = [unions[0]]
+                for j in range(1, t):
+                    extended.append(unions[j] + tuple([uv | row for uv in unions[j - 1]]))
+                unions = tuple(extended)
+
         # a t-subset of assigned rows leaving >= t columns uncovered is final,
-        # whatever rows follow
+        # whatever rows follow.  A row of degree under the floor, joined to
+        # the smallest final union, still leaves t columns uncovered, so
+        # candidates() only counts such rows
         finals = unions[t - 1] if coverage_on else ()
         uncovered_limit = n - t
+        floor = 0
+        if finals:
+            floor = uncovered_limit + 1 - min([uv.bit_count() for uv in finals])
+            if floor < 0:
+                floor = 0
         attempt_limit, deadline = self.attempt_limit, self.deadline
-        row_bit = 1 << len(rows)  # the child row's incidence bit
 
-        for mask in self.candidates(rows, intervals):
+        masks, below = self.candidates(rows, intervals, floor)
+        for mask in masks:
             # budget, checked before the attempt is counted, so a trip
             # reports exactly the budget
             if attempt_limit is not None and self.attempts >= attempt_limit:
@@ -398,23 +456,23 @@ class _Worker:
                     self.prunes[RULE_COVERAGE] += 1
                     break
             else:
-                # no t-subset is final: build the child's state
-                refined = []
-                for start, length, incidence in intervals:
-                    c = ((mask >> start) & ((1 << length) - 1)).bit_count()
-                    if c:
-                        refined.append((start, c, incidence | row_bit))
-                    if length - c:
-                        refined.append((start + c, length - c, incidence))
-                child_unions = unions
-                if coverage_on:
-                    child = [unions[0]]
-                    for j in range(1, t):
-                        child.append(unions[j] + tuple([uv | mask for uv in unions[j - 1]]))
-                    child_unions = tuple(child)
-                found = self._dfs(rows + (mask,), tuple(refined), child_unions)
+                found = self._dfs(rows + (mask,), intervals, unions)
                 if found is not None:
                     return found
+
+        if below:
+            # the rows under the floor, each one attempt and one coverage
+            # prune; a budget trip counts them up to the budget, as trying
+            # them one by one would, and the deadline is checked once
+            done = self.attempts
+            if attempt_limit is not None and done + below > attempt_limit:
+                self.prunes[RULE_COVERAGE] += attempt_limit - done
+                self.attempts = attempt_limit
+                raise _BudgetExceeded
+            if deadline is not None and time.monotonic() > deadline:
+                raise _BudgetExceeded
+            self.attempts = done + below
+            self.prunes[RULE_COVERAGE] += below
         return None
 
 

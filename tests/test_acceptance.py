@@ -293,11 +293,11 @@ def test_criterion_8_roundtrip_and_determinism(tmp_path, capsys):
 
 def test_bonus_value_m6_t5_computed_end_to_end():
     # beyond the declared substitutes: the full n-scan for m=6, t=5 completes
-    # at desk scale (~6 s), pinning the value 40 with a verified witness at
+    # at desk scale (~4 s), pinning the value 40 with a verified witness at
     # n=39 that is exactly the bundled fixture.  The m=7 upper bound, arrows
-    # 7x30 t=5, also completes (~37 s, see README) but is too slow for the
+    # 7x30 t=5, also completes (~24 s, see README) but is too slow for the
     # default suite.  Both figures are the median of 3 runs in one process on
-    # a 2-core machine (scan 5.2-6.6 s, 7x30 29-39 s).
+    # a 2-core machine (scan 3.9-4.1 s, 7x30 20.4-24.7 s).
     record = find_br_m(6, 5, 45, SearchConfig(time_budget=900.0))
     assert record.status == EXACT
     assert record.value == 40

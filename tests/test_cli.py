@@ -154,6 +154,19 @@ class TestOutputPaths:
         assert not path.exists()
 
 
+    def test_arrows_output_checked_before_search(self, tmp_path, capsys):
+        # a missing directory or a directory as the path fails at once: no
+        # search runs, so no verdict is printed, and nothing is created
+        for path in (tmp_path / "missing" / "w.txt", tmp_path):
+            code, out, err = run(
+                capsys, "arrows", "-m", "6", "-n", "39", "-t", "5", "-o", str(path)
+            )
+            assert code == 1, path
+            assert "verdict:" not in out, path
+            assert err.startswith("error: ") and str(path) in err, path
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestBrfind:
     def test_nonexistent(self, capsys):
         code, out, _ = run(capsys, "brfind", "-m", "5", "-t", "5")

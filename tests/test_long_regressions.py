@@ -1,8 +1,8 @@
 """Opt-in long regressions: the slower published values, re-searched from scratch.
 
 Run with ``BIRAMSEY_LONG_TESTS=1 pytest tests/test_long_regressions.py``;
-about two and a half minutes total (median of three runs on a 2-core
-machine: 136, 143 and 145 s).
+about two minutes total (median of three runs on a 2-core machine:
+109, 113 and 117 s).
 The default suite stays compact, so these are skipped unless asked for.
 """
 

@@ -1,6 +1,8 @@
 """Search engine: pruning lemma values, canonical generation, verdicts, budgets."""
 
-from itertools import permutations
+from functools import reduce
+from itertools import combinations, permutations
+from operator import or_
 
 import pytest
 
@@ -311,6 +313,83 @@ class TestBudgets:
                 assert out.verdict == NOT_ARROWS
                 assert out.certificate.valid
 
+    @staticmethod
+    def floor_blocks(monkeypatch, inst):
+        """The unbudgeted outcome, and each block of rows under the degree
+        floor in its search: (attempts, nodes and prunes before it, its size)."""
+        candidates, dfs = _Worker.candidates, _Worker._dfs
+        below_at, blocks = {}, []
+
+        def recording_candidates(worker, rows, intervals, floor):
+            out, below = candidates(worker, rows, intervals, floor)
+            below_at[rows] = below
+            return out, below
+
+        def recording_dfs(worker, rows, intervals, unions):
+            found = dfs(worker, rows, intervals, unions)
+            below = below_at.pop(rows, 0)
+            if found is None and below:
+                # the block is the last thing a finished node counts
+                prunes = dict(worker.prunes)
+                prunes[RULE_COVERAGE] -= below
+                blocks.append((worker.attempts - below, worker.nodes, prunes, below))
+            return found
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_Worker, "candidates", recording_candidates)
+            patch.setattr(_Worker, "_dfs", recording_dfs)
+            out = arrows(inst)
+        return out, blocks
+
+    def test_budget_sweep_invariants(self, monkeypatch):
+        # every attempt is a coverage prune or a child node, a trip reports
+        # exactly the budget, and a larger budget never walks fewer nodes;
+        # a budget inside a block of rows under the degree floor trips with
+        # the block counted up to the budget, as row-by-row counting would;
+        # only a budget below the unbudgeted attempt count trips
+        sweeps = (
+            (ArrowingInstance(6, 23, 4), [*range(1, 400, 7), 1000, 5000, 20000,
+                                          40355, 40356, 40357]),
+            (ArrowingInstance(6, 30, 5), list(range(1, 3000, 37))),
+        )
+        for inst, budgets in sweeps:
+            full, blocks = self.floor_blocks(monkeypatch, inst)
+            sized = [block for block in blocks if block[3] >= 2]
+            for start, nodes, prunes, size in (sized[0], max(sized, key=lambda b: b[3])):
+                budget = start + size // 2
+                out = arrows(inst, SearchConfig(node_budget=budget))
+                assert out.verdict == BUDGET_EXHAUSTED, (inst, budget)
+                assert (out.stats.nodes, out.stats.attempts) == (nodes, budget), (inst, budget)
+                assert out.stats.prunes == prunes | {
+                    RULE_COVERAGE: prunes[RULE_COVERAGE] + budget - start
+                }, (inst, budget)
+                budgets.append(budget)
+
+            last_nodes = 0
+            for budget in sorted(budgets):
+                out = arrows(inst, SearchConfig(node_budget=budget))
+                assert_within_budget(out, budget)
+                tripped = budget < full.stats.attempts
+                assert (out.verdict == BUDGET_EXHAUSTED) == tripped, (inst, budget)
+                st = out.stats
+                assert st.attempts == st.nodes - 1 + st.prunes[RULE_COVERAGE], (inst, budget)
+                assert st.nodes >= last_nodes, (inst, budget)
+                last_nodes = st.nodes
+
+    def test_budget_of_exactly_the_attempts_needed_never_trips(self):
+        # with t=1 and the degree cap off the root's rows under the floor are
+        # the last attempts of the search, so this also covers a final block
+        for t in (1, 2, 3):
+            for m in range(1, 6):
+                for n in range(1, 7):
+                    for off in (frozenset(), frozenset({RULE_DEGREE_CAP})):
+                        inst = ArrowingInstance(m, n, t)
+                        full = arrows(inst, SearchConfig(disabled_rules=off))
+                        if not full.stats.attempts:
+                            continue
+                        cfg = SearchConfig(node_budget=full.stats.attempts, disabled_rules=off)
+                        assert fingerprint(arrows(inst, cfg)) == fingerprint(full), (m, n, t, off)
+
     def test_time_budget_type(self):
         out = arrows(ArrowingInstance(4, 4, 2), SearchConfig(time_budget=30.0))
         assert out.verdict == NOT_ARROWS
@@ -359,31 +438,43 @@ class TestDeterminism:
 
     def test_candidate_order(self, monkeypatch):
         # at every node the candidates are exactly the C4-compatible (and, with
-        # canonical-order on, interval-prefix) rows up to the degree limit,
-        # listed degree-descending then column-lex-descending; the
-        # canonical-order prunes are the rows tying the last row's degree that
-        # sort above it
+        # canonical-order on, interval-prefix) rows up to the degree limit and
+        # down to the degree floor, listed degree-descending then
+        # column-lex-descending; the rows under the floor are only counted;
+        # the canonical-order prunes are the rows tying the last row's degree
+        # that sort above it
         original = _Worker.candidates
-        checked = 0
+        checked = below_total = 0
 
-        def checked_candidates(worker, rows, intervals):
-            nonlocal checked
+        def checked_candidates(worker, rows, intervals, floor):
+            nonlocal checked, below_total
             checked += 1
+            n, t, canonical = worker.n, worker.t, worker.canonical_on
+            # the floor: a row of smaller degree leaves the smallest union of
+            # t-1 assigned rows with at least t columns uncovered
+            want_floor = 0
+            if worker.coverage_on and len(rows) >= t - 1:
+                smallest = min(
+                    reduce(or_, subset, 0).bit_count() for subset in combinations(rows, t - 1)
+                )
+                want_floor = max(n - t + 1 - smallest, 0)
+            assert floor == want_floor, rows
+
             before = worker.prunes[RULE_CANONICAL]
-            out = original(worker, rows, intervals)
+            out, below = original(worker, rows, intervals, floor)
             assert len(set(out)) == len(out)
             assert out == sorted(
                 out, key=lambda mask: (-mask.bit_count(), columns_from_mask(mask))
             )
 
-            n, canonical = worker.n, worker.canonical_on
-            limit = degree_cap(worker.m, n, worker.t) if worker.cap_on else n
+            limit = degree_cap(worker.m, n, t) if worker.cap_on else n
             if canonical and rows:
                 limit = min(limit, rows[-1].bit_count())
+            floor = min(floor, limit)
             intervals = [(0, n)]
             for row in rows if canonical else ():
                 intervals = _refine_intervals(intervals, row)
-            expected, above = set(), 0
+            expected, above, under = set(), 0, 0
             for mask in range(1 << n):
                 if mask.bit_count() > limit or any((mask & r).bit_count() > 1 for r in rows):
                     continue
@@ -392,11 +483,15 @@ class TestDeterminism:
                 if (canonical and rows and mask.bit_count() == rows[-1].bit_count()
                         and not _lex_le(mask, rows[-1])):
                     above += 1
+                elif mask.bit_count() < floor:
+                    under += 1
                 else:
                     expected.add(mask)
             assert set(out) == expected, rows
+            assert below == under, rows
             assert worker.prunes[RULE_CANONICAL] - before == above, rows
-            return out
+            below_total += below
+            return out, below
 
         monkeypatch.setattr(_Worker, "candidates", checked_candidates)
         configs = [SearchConfig()] + [
@@ -406,6 +501,7 @@ class TestDeterminism:
             for cfg in configs:
                 arrows(ArrowingInstance(m, n, t), cfg)
         assert checked > 1000
+        assert below_total > 0
 
 
 class TestAblation:
