@@ -20,9 +20,11 @@ so DIMACS output is byte-identical across runs and platforms.
 from __future__ import annotations
 
 import io
+import os
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from operator import add
 from typing import Iterator, Sequence
 
 from .core import BipartiteGraph, UsageError
@@ -78,10 +80,12 @@ class CnfInstance:
             bi, bi2 = i * n, i2 * n
             for j, j2 in combinations(range(n), 2):
                 yield (-(bi + j + 1), -(bi + j2 + 1), -(bi2 + j + 1), -(bi2 + j2 + 1))
-        for rows in combinations(range(self.m), self.t):
-            bases = tuple(i * n for i in rows)
-            for cols in combinations(range(n), self.t):
-                yield tuple(b + j + 1 for b in bases for j in cols)
+        t = self.t
+        for rows in combinations(range(self.m), t):
+            # row-major: firsts[k] is v(rows[k // t], 0), paired with cols[k % t]
+            firsts = tuple(i * n + 1 for i in rows for _ in range(t))
+            for cols in combinations(range(n), t):
+                yield tuple(map(add, firsts, cols * t))
 
     def dimacs_lines(self) -> Iterator[str]:
         """DIMACS text, line by line, without trailing newlines."""
@@ -91,11 +95,13 @@ class CnfInstance:
             bi, bi2 = i * n, i2 * n
             for j, j2 in combinations(range(n), 2):
                 yield f"-{bi + j + 1} -{bi + j2 + 1} -{bi2 + j + 1} -{bi2 + j2 + 1} 0"
-        lits = [str(v) for v in range(self.num_vars + 1)]
-        for rows in combinations(range(self.m), self.t):
-            bases = tuple(i * n for i in rows)
-            for cols in combinations(range(n), self.t):
-                yield " ".join(lits[b + j + 1] for b in bases for j in cols) + " 0"
+        t = self.t
+        lit = [str(v) for v in range(self.num_vars + 1)].__getitem__
+        for rows in combinations(range(self.m), t):
+            # row-major: firsts[k] is v(rows[k // t], 0), paired with cols[k % t]
+            firsts = tuple(i * n + 1 for i in rows for _ in range(t))
+            for cols in combinations(range(n), t):
+                yield " ".join(map(lit, map(add, firsts, cols * t))) + " 0"
 
 
 def encode_cnf(inst: ArrowingInstance) -> CnfInstance:
@@ -104,12 +110,26 @@ def encode_cnf(inst: ArrowingInstance) -> CnfInstance:
 
 
 def write_dimacs(cnf: CnfInstance, destination) -> None:
-    """Write the DIMACS text to a path or a text file object (LF endings)."""
-    if isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__"):
-        with open(destination, "w", encoding="ascii", newline="\n") as handle:
-            _write_lines(cnf, handle)
-    else:
+    """Write the DIMACS text to a path or a text file object (LF endings).
+
+    A path is written to ``<path>.part`` first, which replaces the target
+    only once every line is written: an interrupted export leaves the
+    target as it was, never a formula cut short under a header that
+    promises every clause.
+    """
+    if not (isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__")):
         _write_lines(cnf, destination)
+        return
+    path = os.fsdecode(destination)
+    partial = path + ".part"
+    handle = open(partial, "w", encoding="ascii", newline="\n")
+    try:
+        with handle:
+            _write_lines(cnf, handle)
+        os.replace(partial, path)
+    except BaseException:
+        os.unlink(partial)
+        raise
 
 
 def _write_lines(cnf: CnfInstance, handle: io.TextIOBase) -> None:
@@ -150,13 +170,8 @@ def satisfies(cnf: CnfInstance, model: Sequence[bool]) -> bool:
         raise UsageError(
             f"model assigns {len(model)} variables, formula has {cnf.num_vars}"
         )
-    for clause in cnf.clauses():
-        for lit in clause:
-            if model[lit - 1] if lit > 0 else not model[-lit - 1]:
-                break
-        else:
-            return False
-    return True
+    true_lits = {v if value else -v for v, value in enumerate(model, 1)}
+    return not any(map(true_lits.isdisjoint, cnf.clauses()))
 
 
 def decode_model(

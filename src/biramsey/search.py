@@ -334,13 +334,16 @@ class _Worker:
         The rows under the floor, the tail of that order, are only counted:
         the caller knows the coverage test rejects every one of them.  The
         floor is clamped to the degree limit, so the top degree, where the
-        canonical-order prunes are counted, is always built.
+        canonical-order prunes are counted, is always built; when the floor
+        was above the limit, the rows that survive that filter are counted
+        too, and no mask is returned.
         """
         limit = self._degree_limit(rows)
         if self.cap_on and self.cap < limit:
             self.prunes[RULE_DEGREE_CAP] += 1
             limit = self.cap
-        if floor > limit:
+        clamped = floor > limit
+        if clamped:
             floor = limit
         by_deg: list[list[int]] = [[] for _ in range(limit + 1)]
         below = 0
@@ -384,6 +387,8 @@ class _Worker:
                 drop += 1
             self.prunes[RULE_CANONICAL] += drop
             del top[:drop]
+        if clamped:
+            return [], below + len(by_deg[limit])
 
         masks = [mask for deg in range(limit, floor - 1, -1) for mask in by_deg[deg]]
         return masks, below

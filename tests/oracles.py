@@ -113,3 +113,46 @@ def arrows_oracle_t2(m: int, n: int) -> bool:
         if extend(a, compat[a], m - 1):
             return False
     return True
+
+
+def clauses_from_definition(m: int, n: int, t: int) -> list[tuple[int, ...]]:
+    """The CNF clause list as the encoding defines it, literal by literal.
+
+    Variable v(i, j) = i*n + j + 1.  First, for rows i < i2 and columns
+    j < j2 in lexicographic order of (i, i2, j, j2), the no-K_{2,2} clause
+    (-v(i,j), -v(i,j2), -v(i2,j), -v(i2,j2)); then, for every t-subset R of
+    rows and t-subset C of columns in lexicographic order of (R, C), the
+    covering clause listing v(i, j) for i in R, j in C, row-major.
+    """
+
+    def v(i: int, j: int) -> int:
+        return i * n + j + 1
+
+    out = []
+    for i in range(m):
+        for i2 in range(i + 1, m):
+            for j in range(n):
+                for j2 in range(j + 1, n):
+                    out.append((-v(i, j), -v(i, j2), -v(i2, j), -v(i2, j2)))
+    for row_subset in combinations(range(m), t):
+        for col_subset in combinations(range(n), t):
+            clause = []
+            for i in row_subset:
+                for j in col_subset:
+                    clause.append(v(i, j))
+            out.append(tuple(clause))
+    return out
+
+
+def model_satisfies(clauses, model) -> bool:
+    """Literal-by-literal check: every clause has a literal the model makes true."""
+    for clause in clauses:
+        satisfied = False
+        for lit in clause:
+            value = model[abs(lit) - 1]
+            if (lit > 0 and value) or (lit < 0 and not value):
+                satisfied = True
+                break
+        if not satisfied:
+            return False
+    return True

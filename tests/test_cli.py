@@ -192,6 +192,17 @@ class TestExportCnf:
         assert text.startswith("p cnf 9 18\n")
         assert "wrote p cnf 9 18" in out
 
+    def test_directory_target_fails_at_once(self, tmp_path, capsys):
+        # checked before the export starts, which writes <target>.part
+        # first: the error names the target and nothing is left behind
+        code, out, err = run(
+            capsys, "export-cnf", "-m", "7", "-n", "30", "-t", "5", "-o", str(tmp_path)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and str(tmp_path) in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_usage_error_exit_2(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "export-cnf", "-m", "3", "-n", "3", "-t", "4",

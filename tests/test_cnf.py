@@ -1,11 +1,15 @@
 """CNF encoding, DIMACS format, model decoding, and the toy DPLL."""
 
+import hashlib
 import io
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biramsey.cnf import (
+    CnfInstance,
     EncodingIntegrityError,
     decode_model,
     dpll,
@@ -20,7 +24,12 @@ from biramsey.core import BipartiteGraph, UsageError
 from biramsey.search import ARROWS, NOT_ARROWS, ArrowingInstance, arrows
 from biramsey.witnesses import witness_8x29
 
-from oracles import arrows_oracle
+from oracles import arrows_oracle, clauses_from_definition, model_satisfies
+
+# every instance with m <= 4, n <= 6 and 1 <= t <= min(m, n)
+SMALL_INSTANCES = [
+    (m, n, t) for m in range(1, 5) for n in range(1, 7) for t in range(1, min(m, n) + 1)
+]
 
 
 class TestCounts:
@@ -77,6 +86,60 @@ class TestDimacs:
         cnf = encode_cnf(ArrowingInstance(2, 2, 2))
         write_dimacs(cnf, target)
         assert target.read_bytes() == b"p cnf 4 2\n-1 -2 -3 -4 0\n1 2 3 4 0\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_7x8_t3_digest_pinned(self, tmp_path):
+        # digest, size and clause count as recorded in bench/golden.json
+        target = tmp_path / "7x8.cnf"
+        write_dimacs(CnfInstance(7, 8, 3), target)
+        data = target.read_bytes()
+        assert len(data) == 64_225
+        assert data.count(b"\n") == 1 + 2_548
+        assert (
+            hashlib.sha256(data).hexdigest()
+            == "913eb0c1b99f651daefa4f9c9a44077c63392baad1d3ed1fecf2418a8e55a317"
+        )
+
+
+class TestInterruptedWrite:
+    """An export cut short leaves the target path as it was."""
+
+    @pytest.fixture
+    def interrupted(self, monkeypatch):
+        def dimacs_lines(self):
+            yield "p cnf 4 2"
+            yield "-1 -2 -3 -4 0"
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(CnfInstance, "dimacs_lines", dimacs_lines)
+        return CnfInstance(2, 2, 2)
+
+    def test_new_target_not_created(self, tmp_path, interrupted):
+        target = tmp_path / "inst.cnf"
+        with pytest.raises(KeyboardInterrupt):
+            write_dimacs(interrupted, target)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_existing_target_unchanged(self, tmp_path, interrupted):
+        target = tmp_path / "inst.cnf"
+        target.write_bytes(b"p cnf 1 1\n1 0\n")
+        with pytest.raises(KeyboardInterrupt):
+            write_dimacs(interrupted, target)
+        assert target.read_bytes() == b"p cnf 1 1\n1 0\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+
+class TestClauseOracle:
+    def test_clauses_match_definition(self):
+        for m, n, t in SMALL_INSTANCES:
+            cnf = CnfInstance(m, n, t)
+            expected = clauses_from_definition(m, n, t)
+            assert list(cnf.clauses()) == expected, (m, n, t)
+            lines = list(cnf.dimacs_lines())
+            assert lines[0] == f"p cnf {m * n} {len(expected)}", (m, n, t)
+            assert lines[1:] == [
+                " ".join(str(lit) for lit in clause) + " 0" for clause in expected
+            ], (m, n, t)
 
 
 class TestModels:
@@ -118,6 +181,36 @@ class TestModels:
         model = model_from_graph(cnf, out.certificate.graph)
         assert satisfies(cnf, model)
         assert not satisfies(cnf, (True,) * 16)
+
+
+class TestSatisfies:
+    """``satisfies`` against a literal-by-literal reference on the oracle clauses."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(SMALL_INSTANCES), st.randoms(use_true_random=False), st.floats(0, 1))
+    def test_random_models(self, instance, rnd, density):
+        m, n, t = instance
+        model = tuple(rnd.random() < density for _ in range(m * n))
+        expected = model_satisfies(clauses_from_definition(m, n, t), model)
+        assert satisfies(CnfInstance(m, n, t), model) == expected
+
+    @pytest.mark.parametrize("m,n,t", [(4, 6, 3), (4, 5, 3), (3, 4, 3)])
+    def test_one_falsified_clause_near_a_good_coloring(self, m, n, t):
+        # from a good coloring, make exactly one clause false: add the edges
+        # of one C4, or remove the edges inside one t x t block
+        cnf = CnfInstance(m, n, t)
+        clauses = clauses_from_definition(m, n, t)
+        base = model_from_graph(cnf, arrows(ArrowingInstance(m, n, t)).certificate.graph)
+        assert satisfies(cnf, base) and model_satisfies(clauses, base)
+        found = {"no-K22": 0, "covering": 0}
+        for clause in clauses:
+            model = list(base)
+            for lit in clause:
+                model[abs(lit) - 1] = lit < 0
+            if sum(not model_satisfies([c], model) for c in clauses) == 1:
+                assert not satisfies(cnf, model), clause
+                found["no-K22" if clause[0] < 0 else "covering"] += 1
+        assert found["no-K22"] > 0 and found["covering"] > 0
 
 
 class TestDpll:
