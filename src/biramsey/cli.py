@@ -225,10 +225,6 @@ def _cmd_brfind(args) -> int:
 
 def _cmd_export_cnf(args) -> int:
     cnf = encode_cnf(ArrowingInstance(args.m, args.n, args.t))
-    # the export is written to <output>.part and renamed at the end, so
-    # check the target itself first: a bad path fails at once, not after
-    # the whole export
-    _check_writable(args.output)
     write_dimacs(cnf, args.output)
     print(f"wrote p cnf {cnf.num_vars} {cnf.num_clauses} to {args.output}")
     return 0

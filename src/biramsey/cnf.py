@@ -19,8 +19,11 @@ so DIMACS output is byte-identical across runs and platforms.
 
 from __future__ import annotations
 
+import errno
 import io
 import os
+import stat
+import tempfile
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -112,19 +115,45 @@ def encode_cnf(inst: ArrowingInstance) -> CnfInstance:
 def write_dimacs(cnf: CnfInstance, destination) -> None:
     """Write the DIMACS text to a path or a text file object (LF endings).
 
-    A path is written to ``<path>.part`` first, which replaces the target
-    only once every line is written: an interrupted export leaves the
-    target as it was, never a formula cut short under a header that
-    promises every clause.
+    A path that names a regular file, or nothing yet, is written to a new
+    temporary file in its directory, which replaces the target only once
+    every line is written: an interrupted export leaves the target as it
+    was, never a formula cut short under a header that promises every
+    clause.  The output gets the mode the target had, or the umask's mode
+    for a new file.  Any other path (a symlink, a FIFO, a device such as
+    /dev/stdout) is opened and written directly, so the export can be
+    streamed to a solver.  A path that cannot be written fails before the
+    first line is built.
     """
     if not (isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__")):
         _write_lines(cnf, destination)
         return
     path = os.fsdecode(destination)
-    partial = path + ".part"
-    handle = open(partial, "w", encoding="ascii", newline="\n")
     try:
-        with handle:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not stat.S_ISREG(st.st_mode):
+        with open(path, "w", encoding="ascii", newline="\n") as handle:
+            _write_lines(cnf, handle)
+        return
+    if st is None:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    else:
+        if not os.access(path, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        mode = stat.S_IMODE(st.st_mode)
+    directory, name = os.path.split(os.path.abspath(path))
+    try:
+        fd, partial = tempfile.mkstemp(suffix=".part", prefix=name + ".", dir=directory)
+    except OSError as exc:
+        # name the target, not the temporary file, as opening it would
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="ascii", newline="\n") as handle:
+            os.fchmod(fd, mode)
             _write_lines(cnf, handle)
         os.replace(partial, path)
     except BaseException:

@@ -2,6 +2,9 @@
 
 import hashlib
 import io
+import os
+import stat
+import threading
 from math import comb
 
 import pytest
@@ -127,6 +130,84 @@ class TestInterruptedWrite:
             write_dimacs(interrupted, target)
         assert target.read_bytes() == b"p cnf 1 1\n1 0\n"
         assert list(tmp_path.iterdir()) == [target]
+
+
+class TestWriteTargets:
+    """Regular files are replaced whole; anything else is written directly."""
+
+    TEXT = b"p cnf 4 2\n-1 -2 -3 -4 0\n1 2 3 4 0\n"
+
+    @pytest.fixture
+    def unbuilt(self, monkeypatch):
+        # a path that cannot be written must fail before any line is built
+        def dimacs_lines(self):
+            raise AssertionError("dimacs_lines started")
+            yield
+
+        monkeypatch.setattr(CnfInstance, "dimacs_lines", dimacs_lines)
+        return CnfInstance(2, 2, 2)
+
+    def test_directory_target_fails_at_once(self, tmp_path, unbuilt):
+        with pytest.raises(IsADirectoryError):
+            write_dimacs(unbuilt, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_parent_fails_at_once(self, tmp_path, unbuilt):
+        target = tmp_path / "missing" / "inst.cnf"
+        with pytest.raises(FileNotFoundError) as info:
+            write_dimacs(unbuilt, target)
+        assert info.value.filename == str(target)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+    def test_fifo_target_streamed(self, tmp_path):
+        fifo = tmp_path / "solver.in"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(fifo.read_bytes()), daemon=True
+        )
+        reader.start()
+        write_dimacs(CnfInstance(2, 2, 2), fifo)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [self.TEXT]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert list(tmp_path.iterdir()) == [fifo]
+
+    def test_symlink_written_through(self, tmp_path):
+        real = tmp_path / "real.cnf"
+        real.write_bytes(b"old\n")
+        link = tmp_path / "link.cnf"
+        link.symlink_to(real)
+        write_dimacs(CnfInstance(2, 2, 2), link)
+        assert link.is_symlink()
+        assert real.read_bytes() == self.TEXT
+        assert sorted(tmp_path.iterdir()) == [link, real]
+
+    def test_existing_part_file_untouched(self, tmp_path):
+        target = tmp_path / "inst.cnf"
+        mine = tmp_path / "inst.cnf.part"
+        mine.write_bytes(b"keep\n")
+        write_dimacs(CnfInstance(2, 2, 2), target)
+        assert target.read_bytes() == self.TEXT
+        assert mine.read_bytes() == b"keep\n"
+        assert sorted(tmp_path.iterdir()) == [target, mine]
+
+    def test_mode_of_new_and_existing_target(self, tmp_path):
+        umask = os.umask(0o022)
+        try:
+            fresh = tmp_path / "fresh.cnf"
+            write_dimacs(CnfInstance(2, 2, 2), fresh)
+            assert stat.S_IMODE(fresh.stat().st_mode) == 0o644
+            kept = tmp_path / "kept.cnf"
+            kept.write_bytes(b"old\n")
+            kept.chmod(0o640)
+            write_dimacs(CnfInstance(2, 2, 2), kept)
+            assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+            assert kept.read_bytes() == self.TEXT
+        finally:
+            os.umask(umask)
 
 
 class TestClauseOracle:
