@@ -10,6 +10,8 @@ Exit codes: ``verify`` 0 valid / 2 invalid / 1 parse error; ``arrows`` 0
 ARROWS / 3 NOT_ARROWS / 4 budget exhausted.  Every command exits 2 on a
 usage error and 1 when a file cannot be read or written; ``arrows -o``
 checks its path before the search, so that failure costs no search.
+SIGTERM ends a command as Ctrl-C would, running its clean-up (an interrupted
+``export-cnf`` removes its temporary file), and exits 143 (128 + SIGTERM).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import errno
 import os
+import signal
 import sys
 
 from .cnf import encode_cnf, write_dimacs
@@ -241,7 +244,7 @@ def _cmd_table(args) -> int:
 
 def _add_search_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--budget-nodes", type=int, help="candidate attempts allowed" + _BUDGET_SCOPE
+        "--budget-nodes", type=int, help="search nodes allowed" + _BUDGET_SCOPE
     )
     parser.add_argument(
         "--budget-secs", type=float, help="wall-clock seconds allowed" + _BUDGET_SCOPE
@@ -313,9 +316,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # unwind on SIGTERM as on Ctrl-C, so clean-up code runs before the exit
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -324,6 +333,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -36,8 +36,7 @@ joins those rows in covering at most n - t columns, leaving a complement
 K_{t,t}.  So ``candidates`` takes a degree floor n - t + 1 - U and only
 counts the rows under it, which are the tail of its degree-descending order;
 the node adds them to the attempts and the coverage prunes in one step, so
-every count, and with it the node budget, is what trying them one by one
-gives.
+every count is what trying them one by one gives.
 
 Disabling every rule leaves a sound pure enumeration.
 """
@@ -90,12 +89,13 @@ class SearchConfig:
     """Budgets and per-rule pruning toggles (for ablation).
 
     Each budget applies to one ``arrows`` decision: ``find_br_m`` gives every
-    n it scans, and the re-run at n-1 for its witness, a fresh budget.
+    n it scans, and the re-run at n-1 for its witness, a fresh budget; a
+    search the node budget stops reports exactly that many nodes.
     ``threads`` is validated but does not change the search, which always
     runs serially; it is reserved for a later parallel backend.
     """
 
-    node_budget: int | None = None  # max candidate extensions attempted, total
+    node_budget: int | None = None  # max search nodes expanded, total
     time_budget: float | None = None  # wall-clock seconds
     threads: int = 1
     disabled_rules: frozenset = frozenset()
@@ -265,14 +265,14 @@ class _Worker:
         self.coverage_on = cfg.enabled(RULE_COVERAGE) and inst.m >= inst.t
         self.canonical_on = cfg.enabled(RULE_CANONICAL)
         self.deadline = time.monotonic() + cfg.time_budget if cfg.time_budget else None
-        self.attempt_limit = cfg.node_budget
+        self.node_limit = cfg.node_budget
 
         self.nodes = 0
         self.attempts = 0
         self.prunes = {rule: 0 for rule in PRUNE_RULES}
 
-    def run(self) -> tuple[int, ...] | None:
-        """Search from the root: the rows of the first good coloring, or None."""
+    def run(self) -> WitnessCertificate | None:
+        """Search from the root: the certificate of the first good coloring, or None."""
         # (start, length, incidence-over-assigned-rows) runs of interchangeable
         # columns, in label order.  With canonical-order on they start as one
         # run, and the never-used columns stay the last run; with it off every
@@ -398,22 +398,28 @@ class _Worker:
         rows: tuple[int, ...],
         intervals: tuple[tuple[int, int, int], ...],
         unions: tuple[tuple[int, ...], ...],
-    ) -> tuple[int, ...] | None:
-        """The rows of the first good coloring at or below this node, or None.
+    ) -> WitnessCertificate | None:
+        """The certificate of the first good coloring at or below this node, or None.
 
         ``intervals`` and ``unions`` describe ``rows[:-1]``, the parent's
         rows; the node refines them by its own row only once its checks pass.
+        A node that passes the mixed coverage bound checks the node budget
+        and the deadline, once, before it counts itself; a leaf returns its
+        certificate when it is a good coloring.
         """
         m, n, t = self.m, self.n, self.t
         coverage_on = self.coverage_on
         if coverage_on and not self._coverage_mixed_ok(rows):
             self.prunes[RULE_COVERAGE] += 1
             return None
+        if self.nodes == self.node_limit:
+            raise _BudgetExceeded
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise _BudgetExceeded
         self.nodes += 1
         if len(rows) == m:
-            if verify_good_coloring(BipartiteGraph(m, n, rows), t).valid:
-                return rows
-            return None
+            cert = verify_good_coloring(BipartiteGraph(m, n, rows), t)
+            return cert if cert.valid else None
 
         if rows:
             # the node's own state: refine the parent's by the last row
@@ -443,19 +449,10 @@ class _Worker:
             floor = uncovered_limit + 1 - min([uv.bit_count() for uv in finals])
             if floor < 0:
                 floor = 0
-        attempt_limit, deadline = self.attempt_limit, self.deadline
 
         masks, below = self.candidates(rows, intervals, floor)
         for mask in masks:
-            # budget, checked before the attempt is counted, so a trip
-            # reports exactly the budget
-            if attempt_limit is not None and self.attempts >= attempt_limit:
-                raise _BudgetExceeded
-            if not (self.attempts & 255):
-                if deadline is not None and time.monotonic() > deadline:
-                    raise _BudgetExceeded
             self.attempts += 1
-
             for uv in finals:
                 if (uv | mask).bit_count() <= uncovered_limit:
                     self.prunes[RULE_COVERAGE] += 1
@@ -465,19 +462,9 @@ class _Worker:
                 if found is not None:
                     return found
 
-        if below:
-            # the rows under the floor, each one attempt and one coverage
-            # prune; a budget trip counts them up to the budget, as trying
-            # them one by one would, and the deadline is checked once
-            done = self.attempts
-            if attempt_limit is not None and done + below > attempt_limit:
-                self.prunes[RULE_COVERAGE] += attempt_limit - done
-                self.attempts = attempt_limit
-                raise _BudgetExceeded
-            if deadline is not None and time.monotonic() > deadline:
-                raise _BudgetExceeded
-            self.attempts = done + below
-            self.prunes[RULE_COVERAGE] += below
+        # the rows under the floor, each one attempt and one coverage prune
+        self.attempts += below
+        self.prunes[RULE_COVERAGE] += below
         return None
 
 
@@ -523,10 +510,7 @@ def arrows(
     stats = SearchStats(max(worker.nodes, 1), worker.attempts, worker.prunes, elapsed)
 
     if found is not None:
-        cert = verify_good_coloring(BipartiteGraph(inst.m, inst.n, found), inst.t)
-        if not cert.valid:
-            raise RuntimeError("search produced an invalid witness; this is a bug")
-        return SearchOutcome(NOT_ARROWS, stats, cert)
+        return SearchOutcome(NOT_ARROWS, stats, found)
     if budget_hit:
         return SearchOutcome(BUDGET_EXHAUSTED, stats)
     return SearchOutcome(ARROWS, stats)

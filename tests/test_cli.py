@@ -1,6 +1,11 @@
 """CLI surface: exit codes, report text, witness files, DIMACS export, table."""
 
+import os
 import re
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -210,6 +215,41 @@ class TestExportCnf:
         )
         assert code == 2
         assert "error" in err
+
+    def test_sigterm_handler_restored(self, tmp_path, capsys):
+        before = signal.getsignal(signal.SIGTERM)
+        code, _, _ = run(
+            capsys, "export-cnf", "-m", "3", "-n", "3", "-t", "2",
+            "-o", str(tmp_path / "x.cnf"),
+        )
+        assert code == 0
+        assert signal.getsignal(signal.SIGTERM) is before
+
+    def test_sigterm_removes_temporary_file(self, tmp_path):
+        # terminated mid-export, the command exits 128 + SIGTERM and leaves
+        # the target as it was, with no temporary file beside it
+        target = tmp_path / "inst.cnf"
+        target.write_bytes(b"p cnf 1 1\n1 0\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "biramsey.cli", "export-cnf",
+             "-m", "7", "-n", "30", "-t", "5", "-o", str(target)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not list(tmp_path.glob("inst.cnf.*.part")):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+        finally:
+            proc.kill()
+            proc.wait()
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_bytes() == b"p cnf 1 1\n1 0\n"
 
 
 class TestTable:

@@ -1,5 +1,7 @@
 """Search engine: pruning lemma values, canonical generation, verdicts, budgets."""
 
+import hashlib
+import json
 from functools import reduce
 from itertools import combinations, permutations
 from operator import or_
@@ -47,9 +49,9 @@ def fingerprint(out):
 
 
 def assert_within_budget(out, budget: int) -> None:
-    assert out.stats.attempts <= budget, (out.verdict, out.stats.attempts, budget)
+    assert out.stats.nodes <= budget, (out.verdict, out.stats.nodes, budget)
     if out.verdict == BUDGET_EXHAUSTED:
-        assert out.stats.attempts == budget
+        assert out.stats.nodes == budget
 
 
 def graph_from_code(code: int, m: int, n: int) -> BipartiteGraph:
@@ -302,7 +304,7 @@ class TestBudgets:
 
     def test_budget_never_wrong_verdict(self):
         # whatever the budget, the verdict is the true one or BUDGET_EXHAUSTED
-        # and a tripped search has attempted exactly the budget, no more
+        # and a tripped search has expanded exactly the budget of nodes, no more
         for budget in (1, 2, 5, 17, 80, 100000):
             out = arrows(ArrowingInstance(5, 5, 2), SearchConfig(node_budget=budget))
             assert out.verdict in (ARROWS, BUDGET_EXHAUSTED)
@@ -313,81 +315,40 @@ class TestBudgets:
                 assert out.verdict == NOT_ARROWS
                 assert out.certificate.valid
 
-    @staticmethod
-    def floor_blocks(monkeypatch, inst):
-        """The unbudgeted outcome, and each block of rows under the degree
-        floor in its search: (attempts, nodes and prunes before it, its size)."""
-        candidates, dfs = _Worker.candidates, _Worker._dfs
-        below_at, blocks = {}, []
-
-        def recording_candidates(worker, rows, intervals, floor):
-            out, below = candidates(worker, rows, intervals, floor)
-            below_at[rows] = below
-            return out, below
-
-        def recording_dfs(worker, rows, intervals, unions):
-            found = dfs(worker, rows, intervals, unions)
-            below = below_at.pop(rows, 0)
-            if found is None and below:
-                # the block is the last thing a finished node counts
-                prunes = dict(worker.prunes)
-                prunes[RULE_COVERAGE] -= below
-                blocks.append((worker.attempts - below, worker.nodes, prunes, below))
-            return found
-
-        with monkeypatch.context() as patch:
-            patch.setattr(_Worker, "candidates", recording_candidates)
-            patch.setattr(_Worker, "_dfs", recording_dfs)
-            out = arrows(inst)
-        return out, blocks
-
-    def test_budget_sweep_invariants(self, monkeypatch):
-        # every attempt is a coverage prune or a child node, a trip reports
-        # exactly the budget, and a larger budget never walks fewer nodes;
-        # a budget inside a block of rows under the degree floor trips with
-        # the block counted up to the budget, as row-by-row counting would;
-        # only a budget below the unbudgeted attempt count trips
-        sweeps = (
-            (ArrowingInstance(6, 23, 4), [*range(1, 400, 7), 1000, 5000, 20000,
-                                          40355, 40356, 40357]),
-            (ArrowingInstance(6, 30, 5), list(range(1, 3000, 37))),
-        )
-        for inst, budgets in sweeps:
-            full, blocks = self.floor_blocks(monkeypatch, inst)
-            sized = [block for block in blocks if block[3] >= 2]
-            for start, nodes, prunes, size in (sized[0], max(sized, key=lambda b: b[3])):
-                budget = start + size // 2
-                out = arrows(inst, SearchConfig(node_budget=budget))
-                assert out.verdict == BUDGET_EXHAUSTED, (inst, budget)
-                assert (out.stats.nodes, out.stats.attempts) == (nodes, budget), (inst, budget)
-                assert out.stats.prunes == prunes | {
-                    RULE_COVERAGE: prunes[RULE_COVERAGE] + budget - start
-                }, (inst, budget)
-                budgets.append(budget)
-
+    def test_budget_sweep_invariants(self):
+        # only a budget below the unbudgeted node count trips, a trip
+        # reports exactly the budget, and a budget that does not trip
+        # changes nothing; a larger budget never walks fewer nodes
+        for inst in (ArrowingInstance(6, 23, 4), ArrowingInstance(6, 30, 5)):
+            full = arrows(inst)
+            needed = full.stats.nodes
             last_nodes = 0
+            budgets = {*range(1, 64), *range(64, needed, needed // 16),
+                       needed - 1, needed, needed + 1}
             for budget in sorted(budgets):
                 out = arrows(inst, SearchConfig(node_budget=budget))
                 assert_within_budget(out, budget)
-                tripped = budget < full.stats.attempts
+                tripped = budget < needed
                 assert (out.verdict == BUDGET_EXHAUSTED) == tripped, (inst, budget)
+                if not tripped:
+                    assert fingerprint(out) == fingerprint(full), (inst, budget)
+                # every attempt is a coverage prune or a child node; the root
+                # is a node but no attempt, and the child that meets a spent
+                # budget is an attempt but no node
                 st = out.stats
-                assert st.attempts == st.nodes - 1 + st.prunes[RULE_COVERAGE], (inst, budget)
+                assert st.attempts == st.nodes - 1 + tripped + st.prunes[RULE_COVERAGE], (
+                    inst, budget)
                 assert st.nodes >= last_nodes, (inst, budget)
                 last_nodes = st.nodes
 
-    def test_budget_of_exactly_the_attempts_needed_never_trips(self):
-        # with t=1 and the degree cap off the root's rows under the floor are
-        # the last attempts of the search, so this also covers a final block
+    def test_budget_of_exactly_the_nodes_needed_never_trips(self):
         for t in (1, 2, 3):
             for m in range(1, 6):
                 for n in range(1, 7):
                     for off in (frozenset(), frozenset({RULE_DEGREE_CAP})):
                         inst = ArrowingInstance(m, n, t)
                         full = arrows(inst, SearchConfig(disabled_rules=off))
-                        if not full.stats.attempts:
-                            continue
-                        cfg = SearchConfig(node_budget=full.stats.attempts, disabled_rules=off)
+                        cfg = SearchConfig(node_budget=full.stats.nodes, disabled_rules=off)
                         assert fingerprint(arrows(inst, cfg)) == fingerprint(full), (m, n, t, off)
 
     def test_time_budget_type(self):
@@ -435,6 +396,41 @@ class TestDeterminism:
             for threads in (2, 3, 4):
                 cfg = SearchConfig(node_budget=budget, threads=threads)
                 assert fingerprint(arrows(inst, cfg)) == reference, (m, n, t, budget, threads)
+
+    def test_search_fingerprint_pinned(self):
+        # verdict, witness masks, nodes, attempts and every prune count of
+        # unbudgeted searches, hashed: a change that moves any count or
+        # witness of these trees changes the digest
+        rows = []
+
+        def case(m, n, t, off=frozenset()):
+            out = arrows(ArrowingInstance(m, n, t), SearchConfig(disabled_rules=off))
+            verdict, masks, nodes, attempts, prunes = fingerprint(out)
+            rows.append([m, n, t, sorted(off), verdict, masks, nodes, attempts, prunes])
+
+        grid = [(m, n) for m in range(1, 7) for n in range(1, 9)]
+        for t in (1, 2, 3):
+            for m, n in grid:
+                case(m, n, t)
+            for m, n in grid:
+                if m * n <= 20:
+                    for rule in PRUNE_RULES:
+                        case(m, n, t, frozenset({rule}))
+                if m * n <= 12:
+                    case(m, n, t, frozenset(PRUNE_RULES))
+        for m, n, t in ((8, 19, 4), (8, 20, 4), (6, 23, 4), (7, 12, 4), (5, 40, 4),
+                        (6, 39, 5), (6, 29, 5), (7, 100, 2), (3, 8, 2)):
+            case(m, n, t)
+        for m, t, n_limit in ((6, 5, 30), (7, 3, 12), (6, 4, 24)):
+            record = find_br_m(m, t, n_limit)
+            masks = record.certificate.graph.row_masks if record.certificate else None
+            rows.append([m, t, n_limit, record.status, record.value, record.bound, masks])
+
+        assert len(rows) == 639
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == (
+            "785f6e0c894762349768445fa8319da14e50ddec8e4c9e46df4cd33a3554f3b3"
+        ), digest
 
     def test_candidate_order(self, monkeypatch):
         # at every node the candidates are exactly the C4-compatible (and, with
