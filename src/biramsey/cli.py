@@ -7,9 +7,11 @@ complement; NOT_ARROWS means a good coloring exists and is attached as a
 witness.  Rows and columns are printed with 1-based labels.
 
 Exit codes: ``verify`` 0 valid / 2 invalid / 1 parse error; ``arrows`` 0
-ARROWS / 3 NOT_ARROWS / 4 budget exhausted.  Every command exits 2 on a
-usage error and 1 when a file cannot be read or written; ``arrows -o``
-checks its path before the search, so that failure costs no search.
+ARROWS / 3 NOT_ARROWS / 4 budget exhausted; ``brfind`` 0 exact value or
+NONEXISTENT / 4 lower bound only (a budget trip, or ``--limit`` reached
+without arrowing).  Every command exits 2 on a usage error and 1 when a
+file cannot be read or written; ``arrows -o`` checks its path before the
+search, so that failure costs no search.
 SIGTERM ends a command as Ctrl-C would, running its clean-up (an interrupted
 ``export-cnf`` removes its temporary file), and exits 143 (128 + SIGTERM).
 """
@@ -37,6 +39,7 @@ from .search import (
 from .table import build_table, render_table
 from .witnesses import (
     EXACT,
+    LOWER_BOUND,
     VERIFIED_WITNESS,
     WitnessParseError,
     parse_witness,
@@ -57,8 +60,8 @@ _THREADS_HELP = (
     "is kept for a later parallel backend"
 )
 _BUDGET_SCOPE = (
-    "; the budget applies to one arrowing decision, so brfind gives every n, "
-    "and the re-run at n-1 for its witness, a fresh budget"
+    "; the budget applies to one arrowing decision, so brfind gives every n "
+    "a fresh budget"
 )
 _NO_PRUNE_HELP = (
     "disable one pruning rule (repeatable); pair-budget is implied by "
@@ -223,7 +226,7 @@ def _cmd_brfind(args) -> int:
     if record.status == EXACT and record.certificate is not None:
         state = "verified" if record.certificate.valid else "INVALID"
         print(f"witness at n={record.certificate.graph.n}: {state}")
-    return 0
+    return 4 if record.status == LOWER_BOUND else 0
 
 
 def _cmd_export_cnf(args) -> int:

@@ -28,7 +28,9 @@ and the column unions of the j-subsets of rows for j < t.  A node receives
 its parent's runs and unions and checks itself on entry (the mixed coverage
 bound, then the leaf verification); only a node that passes refines them by
 its own last row, so a pruned child or a leaf never builds its state.
-Nothing is restored on return.
+Nothing is restored on return.  Each node works out its next row's degree
+limit once: the last row's degree under canonical-order, else n, lowered to
+the degree cap.
 
 Rows too sparse to pass coverage are never built.  Let U be the fewest
 columns covered by any t-1 assigned rows: a row of degree at most n - t - U
@@ -36,7 +38,9 @@ joins those rows in covering at most n - t columns, leaving a complement
 K_{t,t}.  So ``candidates`` takes a degree floor n - t + 1 - U and only
 counts the rows under it, which are the tail of its degree-descending order;
 the node adds them to the attempts and the coverage prunes in one step, so
-every count is what trying them one by one gives.
+every count is what trying them one by one gives.  The canonical-order tie
+rule is judged first, where each row is emitted, so a floor above the limit
+just counts every row the tie rule keeps.
 
 Disabling every rule leaves a sound pure enumeration.
 """
@@ -89,8 +93,8 @@ class SearchConfig:
     """Budgets and per-rule pruning toggles (for ablation).
 
     Each budget applies to one ``arrows`` decision: ``find_br_m`` gives every
-    n it scans, and the re-run at n-1 for its witness, a fresh budget; a
-    search the node budget stops reports exactly that many nodes.
+    n it scans a fresh budget; a search the node budget stops reports exactly
+    that many nodes.
     ``threads`` is validated but does not change the search, which always
     runs serially; it is reserved for a later parallel backend.
     """
@@ -286,22 +290,14 @@ class _Worker:
         unions: tuple[tuple[int, ...], ...] = ((0,),) + ((),) * (self.t - 1)
         return self._dfs((), intervals, unions)
 
-    def _degree_limit(self, rows: tuple[int, ...]) -> int:
-        # the next row's degree bound before the degree cap
-        if self.canonical_on and rows:
-            return rows[-1].bit_count()
-        return self.n
-
-    def _coverage_mixed_ok(self, rows: tuple[int, ...]) -> bool:
-        # optimistic bound for t-subsets that still need future rows
+    def _coverage_mixed_ok(self, rows: tuple[int, ...], fb: int) -> bool:
+        # optimistic bound for t-subsets that still need future rows, each of
+        # degree at most fb
         m, n, t = self.m, self.n, self.t
         k1 = len(rows)
         future = m - k1
         if future <= 0:
             return True
-        fb = self._degree_limit(rows)
-        if self.cap_on and self.cap < fb:
-            fb = self.cap
         ordered = sorted(row.bit_count() for row in rows)
         limit = n - t
         acc = 0
@@ -322,31 +318,29 @@ class _Worker:
         self,
         rows: tuple[int, ...],
         intervals: tuple[tuple[int, int, int], ...],
+        limit: int,
         floor: int,
     ) -> tuple[list[int], int]:
-        """Extendable row masks after ``rows`` of degree at least ``floor``,
-        ordered degree-descending then column-lex-descending, and the number
-        of extendable rows below ``floor``.
+        """Extendable row masks after ``rows`` of degree from ``limit`` down to
+        ``floor``, ordered degree-descending then column-lex-descending, and
+        the number of extendable rows below ``floor``.
 
         No sort is needed: within one degree no candidate extends another, so
         emitting each subset after its extensions, taken in increasing column
         order, already lists every degree in column-lex-descending order.
-        The rows under the floor, the tail of that order, are only counted:
-        the caller knows the coverage test rejects every one of them.  The
-        floor is clamped to the degree limit, so the top degree, where the
-        canonical-order prunes are counted, is always built; when the floor
-        was above the limit, the rows that survive that filter are counted
-        too, and no mask is returned.
+        Each rule is judged where a row is emitted.  With canonical-order on
+        and the last row of degree ``limit``, the rows of that degree that
+        sort above the last row come first: each is a canonical-order prune,
+        until one passes and so do all later ones.  The rows under the floor,
+        the tail of the order, are then only counted: the caller knows the
+        coverage test rejects every one of them.
         """
-        limit = self._degree_limit(rows)
-        if self.cap_on and self.cap < limit:
-            self.prunes[RULE_DEGREE_CAP] += 1
-            limit = self.cap
-        clamped = floor > limit
-        if clamped:
-            floor = limit
         by_deg: list[list[int]] = [[] for _ in range(limit + 1)]
         below = 0
+        # the row no top-degree row may sort above, until one does not
+        last = None
+        if self.canonical_on and rows and rows[-1].bit_count() == limit:
+            last = rows[-1]
 
         # a row takes the first column of some incidence-disjoint intervals
         # (pools) plus, with canonical-order on, a leading block of the
@@ -360,7 +354,7 @@ class _Worker:
         pools = [(1 << start, incidence) for start, _length, incidence in intervals]
 
         def rec(idx: int, omask: int, odeg: int, rows_hit: int) -> None:
-            nonlocal below
+            nonlocal below, last
             if odeg < limit:
                 for body in range(idx, len(pools)):
                     cbit, incidence = pools[body]
@@ -370,6 +364,13 @@ class _Worker:
             hi = limit - odeg
             if max_new < hi:
                 hi = max_new
+            elif last is not None:
+                # the widest row emitted here has the top degree
+                if _lex_le(omask | (((1 << hi) - 1) << u), last):
+                    last = None
+                else:
+                    self.prunes[RULE_CANONICAL] += 1
+                    hi -= 1
             lo = floor - odeg
             if lo > 0:
                 below += lo if lo <= hi else hi + 1
@@ -379,17 +380,6 @@ class _Worker:
                 by_deg[odeg + k].append(omask | (((1 << k) - 1) << u))
 
         rec(0, 0, 0, 0)
-        if self.canonical_on and rows and rows[-1].bit_count() == limit:
-            # rows tying the last row's degree but above it come first
-            top, last = by_deg[limit], rows[-1]
-            drop = 0
-            while drop < len(top) and not _lex_le(top[drop], last):
-                drop += 1
-            self.prunes[RULE_CANONICAL] += drop
-            del top[:drop]
-        if clamped:
-            return [], below + len(by_deg[limit])
-
         masks = [mask for deg in range(limit, floor - 1, -1) for mask in by_deg[deg]]
         return masks, below
 
@@ -403,13 +393,19 @@ class _Worker:
 
         ``intervals`` and ``unions`` describe ``rows[:-1]``, the parent's
         rows; the node refines them by its own row only once its checks pass.
-        A node that passes the mixed coverage bound checks the node budget
+        The node's degree limit feeds both the mixed coverage bound and
+        ``candidates``.  A node that passes the bound checks the node budget
         and the deadline, once, before it counts itself; a leaf returns its
         certificate when it is a good coloring.
         """
         m, n, t = self.m, self.n, self.t
+        # the next row's degree limit, lowered to the degree cap
+        limit = rows[-1].bit_count() if self.canonical_on and rows else n
+        capped = self.cap_on and self.cap < limit
+        if capped:
+            limit = self.cap
         coverage_on = self.coverage_on
-        if coverage_on and not self._coverage_mixed_ok(rows):
+        if coverage_on and not self._coverage_mixed_ok(rows, limit):
             self.prunes[RULE_COVERAGE] += 1
             return None
         if self.nodes == self.node_limit:
@@ -420,6 +416,8 @@ class _Worker:
         if len(rows) == m:
             cert = verify_good_coloring(BipartiteGraph(m, n, rows), t)
             return cert if cert.valid else None
+        if capped:
+            self.prunes[RULE_DEGREE_CAP] += 1
 
         if rows:
             # the node's own state: refine the parent's by the last row
@@ -450,7 +448,7 @@ class _Worker:
             if floor < 0:
                 floor = 0
 
-        masks, below = self.candidates(rows, intervals, floor)
+        masks, below = self.candidates(rows, intervals, limit, floor)
         for mask in masks:
             self.attempts += 1
             for uv in finals:
@@ -522,7 +520,10 @@ def find_br_m(
     """Least n with ARROWS, scanning n upward (arrowing is monotone in n).
 
     Nonexistent cases short-circuit through the star construction.  A budget
-    trip or an exhausted n_limit yields an honest lower-bound record.
+    trip or an exhausted n_limit yields an honest lower-bound record.  The
+    scan starts at n = t, where m > t rows that each take only the first
+    column are a good coloring, so no ARROWS comes before a witness: an
+    exact record always carries the good coloring found at n = value - 1.
     """
     if n_limit < 1:
         raise UsageError(f"n_limit must be >= 1, got {n_limit}")
@@ -550,9 +551,6 @@ def find_br_m(
                 note=f"budget exhausted at n={n}",
             )
         if outcome.verdict == ARROWS:
-            if prev_cert is None and n > 1:
-                below = arrows(ArrowingInstance(m, n - 1, t), cfg)
-                prev_cert = below.certificate
             return KnownValueRecord(
                 m=m,
                 t=t,

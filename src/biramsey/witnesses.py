@@ -132,15 +132,12 @@ def _build_report(g: BipartiteGraph, t: int) -> VerificationReport:
     pair_sizes = [
         (masks[i] & masks[j]).bit_count() for i, j in combinations(range(g.m), 2)
     ]
-    if g.m >= t:
-        coverages = []
-        for subset in combinations(range(g.m), t):
-            union = 0
-            for i in subset:
-                union |= masks[i]
-            coverages.append(union.bit_count())
-    else:
-        coverages = []
+    coverages = []  # no t-subsets when m < t
+    for subset in combinations(range(g.m), t):
+        union = 0
+        for i in subset:
+            union |= masks[i]
+        coverages.append(union.bit_count())
     return VerificationReport(
         max_degree=max_row_degree(g),
         pair_count=len(pair_sizes),

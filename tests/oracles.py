@@ -13,7 +13,7 @@ complement (every t rows share <= t-1 complement columns).
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -36,6 +36,40 @@ def is_good_coloring(rows: list[int], n: int, t: int) -> bool:
         if inter.bit_count() >= t:
             return False
     return True
+
+
+def c4_free_classes(m: int, n: int) -> list[set[tuple[int, ...]]]:
+    """The C4-free m x n graphs up to row and column relabelling.
+
+    One set per isomorphism class, holding every image of the class as a
+    sorted tuple of row masks; its minimum is the class key.  Sorting the
+    rows factors out row relabelling, the column permutations the rest.
+    """
+    perms = list(permutations(range(n)))
+    seen: set[tuple[int, ...]] = set()
+    classes = []
+    for rows in combinations_with_replacement(range(1 << n), m):
+        if rows in seen or any((a & b).bit_count() > 1 for a, b in combinations(rows, 2)):
+            continue
+        images = set()
+        for perm in perms:
+            mapped = []
+            for mask in rows:
+                image = 0
+                for c in range(n):
+                    if mask >> c & 1:
+                        image |= 1 << perm[c]
+                mapped.append(image)
+            images.add(tuple(sorted(mapped)))
+        seen |= images
+        classes.append(images)
+    return classes
+
+
+def row_orders(images):
+    """Every row order of every image of a class from ``c4_free_classes``."""
+    for image in images:
+        yield from set(permutations(image))
 
 
 def contains_biclique_enum(rows: list[frozenset[int]], n: int, s: int, t: int) -> bool:

@@ -57,6 +57,24 @@ class TestVerify:
         assert "verdict: INVALID" in out
         assert "K_{5,5} found in the complement" in out
 
+    def test_k22_violation_reported(self, tmp_path, capsys):
+        path = tmp_path / "square.txt"
+        path.write_text("biramsey-witness v1\nm=2 n=2 t=2\n1: 1 2\n2: 1 2\n")
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 2
+        assert "K_{2,2} found in the graph: rows 1,2 columns 1,2" in out
+        assert "complement" not in out.split("verdict:")[1]
+
+    def test_single_row_fewer_than_t(self, tmp_path, capsys):
+        # one row: no row pairs, and no 2-row subsets to cover with
+        path = tmp_path / "one_row.txt"
+        path.write_text("biramsey-witness v1\nm=1 n=3 t=2\n1: 1\n")
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 0
+        assert "max pairwise intersection: n/a (single row)" in out
+        assert "row pairs:" not in out
+        assert "2-row coverage: n/a (fewer than 2 rows)" in out
+
     def test_parse_error_exit_1(self, tmp_path, capsys):
         path = tmp_path / "garbage.txt"
         path.write_text("not a witness\n")
@@ -184,6 +202,16 @@ class TestBrfind:
         assert code == 0
         assert "= 7" in out
         assert "witness at n=6: verified" in out
+
+    def test_budget_trip_exit_4(self, capsys):
+        code, out, _ = run(capsys, "brfind", "-m", "6", "-t", "5", "--budget-nodes", "10")
+        assert code == 4
+        assert "BR_6(K_{2,2}, K_{5,5}) >= 8 (undecided: budget exhausted at n=8)" in out
+
+    def test_limit_reached_exit_4(self, capsys):
+        code, out, _ = run(capsys, "brfind", "-m", "4", "-t", "2", "--limit", "3")
+        assert code == 4
+        assert "BR_4(K_{2,2}, K_{2,2}) >= 4 (undecided: no arrowing up to n=3)" in out
 
 
 class TestExportCnf:

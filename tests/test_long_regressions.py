@@ -1,8 +1,9 @@
-"""Opt-in long regressions: the slower published values, re-searched from scratch.
+"""Opt-in long regressions: the slower published values, re-searched from
+scratch, and orbit completeness of orderly generation at 5x5 and 4x6.
 
 Run with ``BIRAMSEY_LONG_TESTS=1 pytest tests/test_long_regressions.py``;
-about two minutes total (median of three runs on a 2-core machine:
-109, 113 and 117 s).
+about two and a half minutes total (three runs on a 2-core machine: 138,
+148 and 153 s; the orbit tests take about 15 s of that).
 The default suite stays compact, so these are skipped unless asked for.
 """
 
@@ -10,6 +11,7 @@ import os
 
 import pytest
 
+from biramsey.core import BipartiteGraph
 from biramsey.search import (
     ARROWS,
     NOT_ARROWS,
@@ -17,8 +19,11 @@ from biramsey.search import (
     SearchConfig,
     arrows,
     find_br_m,
+    is_canonical_assignment,
 )
 from biramsey.witnesses import EXACT, witness_8x29
+
+from oracles import c4_free_classes, row_orders
 
 pytestmark = pytest.mark.skipif(
     not os.environ.get("BIRAMSEY_LONG_TESTS"),
@@ -58,3 +63,15 @@ def test_lower_bound_m8_t5_restriction_free():
     assert out.verdict == NOT_ARROWS
     assert out.certificate.valid
     assert out.certificate.graph.n == witness_8x29().n
+
+
+@pytest.mark.parametrize("m, n, classes", [(5, 5, 470), (4, 6, 343)])
+def test_every_c4_free_class_has_canonical_image(m, n, classes):
+    # the default suite checks this up to 4x5; these sizes take seconds each
+    found = c4_free_classes(m, n)
+    assert len(found) == classes
+    for images in found:
+        assert any(
+            is_canonical_assignment(BipartiteGraph(m, n, order))
+            for order in row_orders(images)
+        ), min(images)

@@ -35,11 +35,18 @@ from biramsey.witnesses import (
     LOWER_BOUND,
     NONEXISTENT,
     star_witness,
+    verify_good_coloring,
     witness_6x39,
     witness_8x29,
 )
 
-from oracles import arrows_oracle, arrows_oracle_row_canonical, arrows_oracle_t2
+from oracles import (
+    arrows_oracle,
+    arrows_oracle_row_canonical,
+    arrows_oracle_t2,
+    c4_free_classes,
+    row_orders,
+)
 
 
 def fingerprint(out):
@@ -171,6 +178,20 @@ class TestCanonicalExtension:
                 if found:
                     break
             assert found, code
+
+    @pytest.mark.parametrize(
+        "m, n, classes", [(3, 4, 40), (4, 4, 92), (3, 5, 66), (2, 6, 28), (4, 5, 186)]
+    )
+    def test_every_c4_free_class_has_canonical_image(self, m, n, classes):
+        # orderly generation is complete only if each isomorphism class of
+        # C4-free graphs keeps at least one canonical member
+        found = c4_free_classes(m, n)
+        assert len(found) == classes
+        for images in found:
+            assert any(
+                is_canonical_assignment(BipartiteGraph(m, n, order))
+                for order in row_orders(images)
+            ), min(images)
 
 
 class TestArrows:
@@ -438,14 +459,20 @@ class TestDeterminism:
         # down to the degree floor, listed degree-descending then
         # column-lex-descending; the rows under the floor are only counted;
         # the canonical-order prunes are the rows tying the last row's degree
-        # that sort above it
+        # that sort above it, judged before the floor
         original = _Worker.candidates
-        checked = below_total = 0
+        checked = below_total = over_limit = 0
 
-        def checked_candidates(worker, rows, intervals, floor):
-            nonlocal checked, below_total
+        def checked_candidates(worker, rows, intervals, limit, floor):
+            nonlocal checked, below_total, over_limit
             checked += 1
             n, t, canonical = worker.n, worker.t, worker.canonical_on
+            # the limit: the degree cap, and the last row's degree when rows
+            # are generated in canonical order
+            want_limit = degree_cap(worker.m, n, t) if worker.cap_on else n
+            if canonical and rows:
+                want_limit = min(want_limit, rows[-1].bit_count())
+            assert limit == want_limit, rows
             # the floor: a row of smaller degree leaves the smallest union of
             # t-1 assigned rows with at least t columns uncovered
             want_floor = 0
@@ -456,17 +483,15 @@ class TestDeterminism:
                 want_floor = max(n - t + 1 - smallest, 0)
             assert floor == want_floor, rows
 
+            over_limit += floor > limit
+
             before = worker.prunes[RULE_CANONICAL]
-            out, below = original(worker, rows, intervals, floor)
+            out, below = original(worker, rows, intervals, limit, floor)
             assert len(set(out)) == len(out)
             assert out == sorted(
                 out, key=lambda mask: (-mask.bit_count(), columns_from_mask(mask))
             )
 
-            limit = degree_cap(worker.m, n, t) if worker.cap_on else n
-            if canonical and rows:
-                limit = min(limit, rows[-1].bit_count())
-            floor = min(floor, limit)
             intervals = [(0, n)]
             for row in rows if canonical else ():
                 intervals = _refine_intervals(intervals, row)
@@ -496,8 +521,18 @@ class TestDeterminism:
         for m, n, t in ((5, 6, 2), (4, 6, 3), (6, 7, 3)):
             for cfg in configs:
                 arrows(ArrowingInstance(m, n, t), cfg)
+        # these reach a floor above the limit; without coverage or
+        # canonical-order their trees grow to tens of thousands of nodes and
+        # more, so those two rules stay on
+        small = [cfg for cfg in configs
+                 if cfg.enabled(RULE_COVERAGE) and cfg.enabled(RULE_CANONICAL)]
+        for m, n, t in ((7, 8, 3), (8, 10, 4)):
+            for cfg in small:
+                arrows(ArrowingInstance(m, n, t), cfg)
         assert checked > 1000
         assert below_total > 0
+        # a floor above the limit: every row left after the tie rule is counted
+        assert over_limit > 0
 
 
 class TestAblation:
@@ -560,6 +595,26 @@ class TestFindBrM:
     def test_validation(self):
         with pytest.raises(UsageError):
             find_br_m(4, 2, 0)
+
+    def test_scan_holds_a_witness_before_arrows(self):
+        # the scan starts at n = t, where m > t rows each taking only the
+        # first column form a good coloring, so the first decision never
+        # arrows and an exact record always carries the witness at n - 1
+        configs = [SearchConfig()] + [
+            SearchConfig(disabled_rules=frozenset({rule})) for rule in PRUNE_RULES
+        ]
+        for t in (1, 2, 3):
+            for m in range(t + 1, 8):
+                assert verify_good_coloring(
+                    BipartiteGraph.from_rows(m, t, [[0]] * m), t
+                ).valid, (m, t)
+                for cfg in configs:
+                    out = arrows(ArrowingInstance(m, t, t), cfg)
+                    assert out.verdict == NOT_ARROWS, (m, t, cfg.disabled_rules)
+                record = find_br_m(m, t, 20)
+                assert record.status == EXACT, (m, t)
+                assert record.certificate.valid, (m, t)
+                assert record.certificate.graph.n == record.value - 1, (m, t)
 
     def test_published_registry_rows_reproduced(self):
         # the scan reproduces the full published (2,2;3,3) row set and the
