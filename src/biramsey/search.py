@@ -32,15 +32,21 @@ Nothing is restored on return.  Each node works out its next row's degree
 limit once: the last row's degree under canonical-order, else n, lowered to
 the degree cap.
 
-Rows too sparse to pass coverage are never built.  Let U be the fewest
-columns covered by any t-1 assigned rows: a row of degree at most n - t - U
-joins those rows in covering at most n - t columns, leaving a complement
-K_{t,t}.  So ``candidates`` takes a degree floor n - t + 1 - U and only
-counts the rows under it, which are the tail of its degree-descending order;
-the node adds them to the attempts and the coverage prunes in one step, so
-every count is what trying them one by one gives.  The canonical-order tie
-rule is judged first, where each row is emitted, so a floor above the limit
-just counts every row the tie rule keeps.
+Rows the tightest final union rejects are never built.  Let ``tight`` be a
+union of t-1 assigned rows with the fewest columns: a row with fewer than
+need = n - t + 1 - |tight| columns outside it joins those rows in covering at
+most n - t columns, leaving a complement K_{t,t}.  So ``candidates`` takes
+``tight`` and ``need`` and only counts such rows.  It generates a row as
+interval columns plus a block of never-used columns, which lie outside every
+union, so it tracks how many of the interval columns lie outside ``tight``
+and judges each row where it is emitted.  The rows it builds are still tested
+against every final union.  The rejected rows are interleaved with the built
+ones in the candidate order, so the node counts them as attempts and
+coverage prunes in one step when its loop ends; a node that returns or stops
+through a child (a good leaf, a budget trip) lists its rows again and counts
+only the rejected rows ordered before that child.  Every count is what
+trying the rows one by one gives.  The canonical-order tie rule is judged
+first, so a deficit no row can meet just counts every row the tie rule keeps.
 
 Disabling every rule leaves a sound pure enumeration.
 """
@@ -319,11 +325,13 @@ class _Worker:
         rows: tuple[int, ...],
         intervals: tuple[tuple[int, int, int], ...],
         limit: int,
-        floor: int,
-    ) -> tuple[list[int], int]:
-        """Extendable row masks after ``rows`` of degree from ``limit`` down to
-        ``floor``, ordered degree-descending then column-lex-descending, and
-        the number of extendable rows below ``floor``.
+        tight: int,
+        need: int,
+    ) -> tuple[list[int], int, int]:
+        """Extendable row masks after ``rows`` of degree at most ``limit`` with
+        at least ``need`` columns outside ``tight``, ordered degree-descending
+        then column-lex-descending; the number of extendable rows with fewer;
+        and the number of canonical-order prunes.
 
         No sort is needed: within one degree no candidate extends another, so
         emitting each subset after its extensions, taken in increasing column
@@ -331,12 +339,12 @@ class _Worker:
         Each rule is judged where a row is emitted.  With canonical-order on
         and the last row of degree ``limit``, the rows of that degree that
         sort above the last row come first: each is a canonical-order prune,
-        until one passes and so do all later ones.  The rows under the floor,
-        the tail of the order, are then only counted: the caller knows the
-        coverage test rejects every one of them.
+        until one passes and so do all later ones.  The rows left with fewer
+        than ``need`` columns outside ``tight`` are then only counted: the
+        caller knows the coverage test rejects every one of them.
         """
         by_deg: list[list[int]] = [[] for _ in range(limit + 1)]
-        below = 0
+        rejected = tied = 0
         # the row no top-degree row may sort above, until one does not
         last = None
         if self.canonical_on and rows and rows[-1].bit_count() == limit:
@@ -344,23 +352,29 @@ class _Worker:
 
         # a row takes the first column of some incidence-disjoint intervals
         # (pools) plus, with canonical-order on, a leading block of the
-        # never-used columns, which are the last interval when any remain
+        # never-used columns, which are the last interval when any remain and
+        # lie outside every union.  Each pool's columns share one incidence,
+        # so they lie all inside ``tight`` or all outside it
         u = max_new = 0
         if self.canonical_on:
             start, length, incidence = intervals[-1]
             if not incidence:
                 u, max_new = start, length
                 intervals = intervals[:-1]
-        pools = [(1 << start, incidence) for start, _length, incidence in intervals]
+        pools = [
+            (1 << start, incidence, not (tight >> start) & 1)
+            for start, _length, incidence in intervals
+        ]
 
-        def rec(idx: int, omask: int, odeg: int, rows_hit: int) -> None:
-            nonlocal below, last
+        def rec(idx: int, omask: int, odeg: int, rows_hit: int, out: int) -> None:
+            # ``out``: the columns of ``omask`` outside ``tight``
+            nonlocal rejected, tied, last
             if odeg < limit:
                 for body in range(idx, len(pools)):
-                    cbit, incidence = pools[body]
+                    cbit, incidence, outside = pools[body]
                     if incidence & rows_hit:
                         continue
-                    rec(body + 1, omask | cbit, odeg + 1, rows_hit | incidence)
+                    rec(body + 1, omask | cbit, odeg + 1, rows_hit | incidence, out + outside)
             hi = limit - odeg
             if max_new < hi:
                 hi = max_new
@@ -369,19 +383,43 @@ class _Worker:
                 if _lex_le(omask | (((1 << hi) - 1) << u), last):
                     last = None
                 else:
-                    self.prunes[RULE_CANONICAL] += 1
+                    tied += 1
                     hi -= 1
-            lo = floor - odeg
+            # each new column lies outside ``tight``
+            lo = need - out
             if lo > 0:
-                below += lo if lo <= hi else hi + 1
+                rejected += lo if lo <= hi else hi + 1
             else:
                 lo = 0
             for k in range(lo, hi + 1):
                 by_deg[odeg + k].append(omask | (((1 << k) - 1) << u))
 
-        rec(0, 0, 0, 0)
-        masks = [mask for deg in range(limit, floor - 1, -1) for mask in by_deg[deg]]
-        return masks, below
+        rec(0, 0, 0, 0, 0)
+        masks = [mask for bucket in reversed(by_deg) for mask in bucket]
+        return masks, rejected, tied
+
+    def _count_rejected_before(
+        self,
+        rows: tuple[int, ...],
+        intervals: tuple[tuple[int, int, int], ...],
+        limit: int,
+        tight: int,
+        need: int,
+        child: int,
+    ) -> None:
+        """Count the rows ``candidates`` rejected that come before ``child`` in
+        its order, each as one attempt and one coverage prune.  Every row is
+        listed again, so this runs only when a search returns or stops
+        through ``child``: at most once per depth."""
+        every, _, _ = self.candidates(rows, intervals, limit, 0, 0)
+        outside = ~tight
+        count = 0
+        for mask in every:
+            if mask == child:
+                break
+            count += (mask & outside).bit_count() < need
+        self.attempts += count
+        self.prunes[RULE_COVERAGE] += count
 
     def _dfs(
         self,
@@ -397,6 +435,12 @@ class _Worker:
         ``candidates``.  A node that passes the bound checks the node budget
         and the deadline, once, before it counts itself; a leaf returns its
         certificate when it is a good coloring.
+
+        The rows ``candidates`` rejects against the tightest final union are
+        counted as attempts and coverage prunes: all of them when the loop
+        ends, and only those ordered before the child when the node returns
+        or stops through a child, so every count is what trying the rows one
+        by one gives.
         """
         m, n, t = self.m, self.n, self.t
         # the next row's degree limit, lowered to the degree cap
@@ -437,18 +481,18 @@ class _Worker:
                 unions = tuple(extended)
 
         # a t-subset of assigned rows leaving >= t columns uncovered is final,
-        # whatever rows follow.  A row of degree under the floor, joined to
-        # the smallest final union, still leaves t columns uncovered, so
+        # whatever rows follow.  A row with fewer than ``need`` columns outside
+        # the smallest final union leaves t columns uncovered with it, so
         # candidates() only counts such rows
         finals = unions[t - 1] if coverage_on else ()
         uncovered_limit = n - t
-        floor = 0
+        tight = need = 0
         if finals:
-            floor = uncovered_limit + 1 - min([uv.bit_count() for uv in finals])
-            if floor < 0:
-                floor = 0
+            tight = min(finals, key=int.bit_count)
+            need = uncovered_limit + 1 - tight.bit_count()
 
-        masks, below = self.candidates(rows, intervals, limit, floor)
+        masks, rejected, tied = self.candidates(rows, intervals, limit, tight, need)
+        self.prunes[RULE_CANONICAL] += tied
         for mask in masks:
             self.attempts += 1
             for uv in finals:
@@ -456,13 +500,18 @@ class _Worker:
                     self.prunes[RULE_COVERAGE] += 1
                     break
             else:
-                found = self._dfs(rows + (mask,), intervals, unions)
+                try:
+                    found = self._dfs(rows + (mask,), intervals, unions)
+                except _BudgetExceeded:
+                    self._count_rejected_before(rows, intervals, limit, tight, need, mask)
+                    raise
                 if found is not None:
+                    self._count_rejected_before(rows, intervals, limit, tight, need, mask)
                     return found
 
-        # the rows under the floor, each one attempt and one coverage prune
-        self.attempts += below
-        self.prunes[RULE_COVERAGE] += below
+        # the rejected rows, each one attempt and one coverage prune
+        self.attempts += rejected
+        self.prunes[RULE_COVERAGE] += rejected
         return None
 
 

@@ -194,21 +194,23 @@ def test_criterion_7_declared_substitutes(capsys):
         assert out6.stats.attempts == 0 and out8.stats.attempts == 0
         assert time.perf_counter() - start < 1.0
 
-        # (b) CNF export for (7,30,5): exact counts, byte-stable
+        # (b) CNF export for (7,30,5): exact counts, and the pinned bytes, so
+        # any change to the output fails, not only a run-to-run difference
         cnf = encode_cnf(ArrowingInstance(7, 30, 5))
         assert cnf.num_vars == 210
         assert cnf.num_clauses == 21 * 435 + 21 * 142506
-        digests = []
-        for _ in range(2):
-            h = hashlib.sha256()
-            count = 0
-            for line in cnf.dimacs_lines():
-                h.update(line.encode("ascii"))
-                h.update(b"\n")
-                count += 1
-            assert count == cnf.num_clauses + 1
-            digests.append(h.hexdigest())
-        assert digests[0] == digests[1]
+        h = hashlib.sha256()
+        count = size = 0
+        for line in cnf.dimacs_lines():
+            data = line.encode("ascii") + b"\n"
+            h.update(data)
+            size += len(data)
+            count += 1
+        assert count == cnf.num_clauses + 1
+        assert size == 266_953_428
+        assert h.hexdigest() == (
+            "bb17a76b1c438b034e4ca4b39fcf581cf10389b419406ee60aa187112e5dac67"
+        )
 
         # (c) table keeps those upper bounds labelled trusted-literature
         entries = {(e.left, e.t, e.m): e for e in build_table()}

@@ -275,12 +275,14 @@ class TestArrows:
         }
 
     def test_arrows_counts_pinned(self):
-        # the exact trees of ARROWS decisions: the benchmark's t=4 instances
-        # and a 5x12 t=3 search with and without single rules
+        # the exact trees of ARROWS decisions: the t=4 instances of the
+        # benchmark and of its long record, and a 5x12 t=3 search with and
+        # without single rules
         cases = (
             (8, 19, 4, None, 1896, 125556, 1, 123661, 7742),
             (8, 20, 4, None, 643, 43929, 1, 43287, 989),
             (6, 23, 4, None, 644, 40356, 1, 39713, 2027),
+            (8, 16, 4, None, 4717, 527739, 1, 523023, 60030),
             (5, 12, 3, None, 36, 785, 1, 750, 21),
             (5, 12, 3, RULE_DEGREE_CAP, 64, 1069, 0, 1006, 22),
             (5, 12, 3, RULE_COVERAGE, 37385, 37384, 1, 0, 12224),
@@ -455,16 +457,19 @@ class TestDeterminism:
 
     def test_candidate_order(self, monkeypatch):
         # at every node the candidates are exactly the C4-compatible (and, with
-        # canonical-order on, interval-prefix) rows up to the degree limit and
-        # down to the degree floor, listed degree-descending then
-        # column-lex-descending; the rows under the floor are only counted;
-        # the canonical-order prunes are the rows tying the last row's degree
-        # that sort above it, judged before the floor
+        # canonical-order on, interval-prefix) rows up to the degree limit that
+        # take at least ``need`` columns outside ``tight``, the smallest union
+        # of t-1 assigned rows; they are listed degree-descending then
+        # column-lex-descending, and the rest are only counted.  The
+        # canonical-order prunes are the rows tying the last row's degree
+        # that sort above it, judged before the deficit
         original = _Worker.candidates
-        checked = below_total = over_limit = 0
+        original_recount = _Worker._count_rejected_before
+        checked = rejected_total = at_floor = over_limit = recounts = 0
+        recounting = False
 
-        def checked_candidates(worker, rows, intervals, limit, floor):
-            nonlocal checked, below_total, over_limit
+        def checked_candidates(worker, rows, intervals, limit, tight, need):
+            nonlocal checked, rejected_total, at_floor, over_limit
             checked += 1
             n, t, canonical = worker.n, worker.t, worker.canonical_on
             # the limit: the degree cap, and the last row's degree when rows
@@ -473,29 +478,26 @@ class TestDeterminism:
             if canonical and rows:
                 want_limit = min(want_limit, rows[-1].bit_count())
             assert limit == want_limit, rows
-            # the floor: a row of smaller degree leaves the smallest union of
-            # t-1 assigned rows with at least t columns uncovered
-            want_floor = 0
-            if worker.coverage_on and len(rows) >= t - 1:
-                smallest = min(
-                    reduce(or_, subset, 0).bit_count() for subset in combinations(rows, t - 1)
-                )
-                want_floor = max(n - t + 1 - smallest, 0)
-            assert floor == want_floor, rows
+            # the deficit: joined to a union of t-1 assigned rows, a row needs
+            # n - t + 1 columns covered, or t columns stay uncovered.  The
+            # recount of an early return lists every row
+            unions = []
+            if worker.coverage_on and not recounting:
+                unions = [reduce(or_, subset, 0) for subset in combinations(rows, t - 1)]
+            if unions:
+                smallest = min(union.bit_count() for union in unions)
+                assert tight in unions and tight.bit_count() == smallest, rows
+                assert need == n - t + 1 - smallest, rows
+            else:
+                assert (tight, need) == (0, 0), rows
+            over_limit += need > limit
 
-            over_limit += floor > limit
-
-            before = worker.prunes[RULE_CANONICAL]
-            out, below = original(worker, rows, intervals, limit, floor)
-            assert len(set(out)) == len(out)
-            assert out == sorted(
-                out, key=lambda mask: (-mask.bit_count(), columns_from_mask(mask))
-            )
+            out, rejected, tied = original(worker, rows, intervals, limit, tight, need)
 
             intervals = [(0, n)]
             for row in rows if canonical else ():
                 intervals = _refine_intervals(intervals, row)
-            expected, above, under = set(), 0, 0
+            expected, above, under = [], 0, 0
             for mask in range(1 << n):
                 if mask.bit_count() > limit or any((mask & r).bit_count() > 1 for r in rows):
                     continue
@@ -504,24 +506,37 @@ class TestDeterminism:
                 if (canonical and rows and mask.bit_count() == rows[-1].bit_count()
                         and not _lex_le(mask, rows[-1])):
                     above += 1
-                elif mask.bit_count() < floor:
+                elif (mask & ~tight).bit_count() < need:
                     under += 1
+                    # the old degree floor, need itself, let this row through
+                    at_floor += mask.bit_count() >= need
                 else:
-                    expected.add(mask)
-            assert set(out) == expected, rows
-            assert below == under, rows
-            assert worker.prunes[RULE_CANONICAL] - before == above, rows
-            below_total += below
-            return out, below
+                    expected.append(mask)
+            expected.sort(key=lambda mask: (-mask.bit_count(), columns_from_mask(mask)))
+            assert out == expected, rows
+            assert rejected == under, rows
+            assert tied == above, rows
+            rejected_total += rejected
+            return out, rejected, tied
+
+        def flagged_recount(worker, *args):
+            nonlocal recounting, recounts
+            recounts += 1
+            recounting = True
+            try:
+                original_recount(worker, *args)
+            finally:
+                recounting = False
 
         monkeypatch.setattr(_Worker, "candidates", checked_candidates)
+        monkeypatch.setattr(_Worker, "_count_rejected_before", flagged_recount)
         configs = [SearchConfig()] + [
             SearchConfig(disabled_rules=frozenset({rule})) for rule in PRUNE_RULES
         ]
         for m, n, t in ((5, 6, 2), (4, 6, 3), (6, 7, 3)):
             for cfg in configs:
                 arrows(ArrowingInstance(m, n, t), cfg)
-        # these reach a floor above the limit; without coverage or
+        # these reach a deficit above the limit; without coverage or
         # canonical-order their trees grow to tens of thousands of nodes and
         # more, so those two rules stay on
         small = [cfg for cfg in configs
@@ -530,9 +545,37 @@ class TestDeterminism:
             for cfg in small:
                 arrows(ArrowingInstance(m, n, t), cfg)
         assert checked > 1000
-        assert below_total > 0
-        # a floor above the limit: every row left after the tie rule is counted
+        assert rejected_total > 0
+        # the deficit rejects rows the old degree floor kept
+        assert at_floor > 0
+        # a deficit above the limit: every row left after the tie rule is counted
         assert over_limit > 0
+        # early returns recount through candidates(), checked above as well
+        assert recounts > 0
+
+    def test_early_return_counts_exact(self):
+        # a search that returns through a child, on a good leaf or a budget
+        # trip, has tried only the rows before that child: the rows the
+        # deficit rejected among them count, the rest do not
+        cases = (
+            (3, 3, 2, None, NOT_ARROWS, 4, 4, 0, 1, 0),
+            (4, 3, 2, None, NOT_ARROWS, 5, 6, 0, 2, 1),
+            (4, 5, 2, None, NOT_ARROWS, 5, 6, 1, 2, 0),
+            (5, 3, 2, None, NOT_ARROWS, 10, 17, 0, 8, 3),
+            (6, 3, 2, None, NOT_ARROWS, 11, 19, 0, 9, 4),
+            (4, 7, 2, 2, BUDGET_EXHAUSTED, 2, 3, 1, 1, 0),
+            (8, 12, 4, 8, BUDGET_EXHAUSTED, 8, 56, 1, 48, 0),
+        )
+        for m, n, t, budget, verdict, nodes, attempts, cap, coverage, canonical in cases:
+            out = arrows(ArrowingInstance(m, n, t), SearchConfig(node_budget=budget))
+            assert out.verdict == verdict, (m, n, t)
+            assert (out.stats.nodes, out.stats.attempts) == (nodes, attempts), (m, n, t)
+            assert out.stats.prunes == {
+                RULE_DEGREE_CAP: cap,
+                RULE_PAIR_BUDGET: 0,
+                RULE_COVERAGE: coverage,
+                RULE_CANONICAL: canonical,
+            }, (m, n, t)
 
 
 class TestAblation:
