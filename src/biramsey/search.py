@@ -36,17 +36,13 @@ Rows the tightest final union rejects are never built.  Let ``tight`` be a
 union of t-1 assigned rows with the fewest columns: a row with fewer than
 need = n - t + 1 - |tight| columns outside it joins those rows in covering at
 most n - t columns, leaving a complement K_{t,t}.  So ``candidates`` takes
-``tight`` and ``need`` and only counts such rows.  It generates a row as
-interval columns plus a block of never-used columns, which lie outside every
-union, so it tracks how many of the interval columns lie outside ``tight``
-and judges each row where it is emitted.  The rows it builds are still tested
-against every final union.  The rejected rows are interleaved with the built
-ones in the candidate order, so the node counts them as attempts and
-coverage prunes in one step when its loop ends; a node that returns or stops
-through a child (a good leaf, a budget trip) lists its rows again and counts
-only the rejected rows ordered before that child.  Every count is what
-trying the rows one by one gives.  The canonical-order tie rule is judged
-first, so a deficit no row can meet just counts every row the tie rule keeps.
+``tight`` and ``need`` and skips such rows.  It generates a row as interval
+columns plus a block of never-used columns, which lie outside every union,
+so it tracks how many of the interval columns lie outside ``tight``, never
+enters a branch none of whose rows can reach ``need``, and drops the rest of
+the short rows where they are emitted.  The rows it builds are still tested
+against every final union.  The counts are those of the rows tried, which
+are the rows built (see ``SearchStats``).
 
 Disabling every rule leaves a sound pure enumeration.
 """
@@ -129,6 +125,19 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchStats:
+    """What one decision did; every count is exact and repeats run to run.
+
+    ``nodes`` is the search nodes expanded, the root included (a root the
+    mixed coverage bound prunes still counts as one).  ``attempts`` is the
+    rows built and tried as the next row of a node.  ``prunes`` maps each
+    rule to its count: ``coverage`` is the tried rows a final union or the
+    mixed bound rejects, plus a pruned root; ``canonical-order`` is the rows
+    of the last row's degree that sort above it, among the rows that meet
+    the column deficit; ``degree-cap`` is the inner nodes whose degree
+    limit the cap lowered; ``pair-budget`` is always 0.  ``elapsed`` is
+    wall seconds.
+    """
+
     nodes: int
     attempts: int
     prunes: dict
@@ -327,24 +336,24 @@ class _Worker:
         limit: int,
         tight: int,
         need: int,
-    ) -> tuple[list[int], int, int]:
+    ) -> tuple[list[int], int]:
         """Extendable row masks after ``rows`` of degree at most ``limit`` with
         at least ``need`` columns outside ``tight``, ordered degree-descending
-        then column-lex-descending; the number of extendable rows with fewer;
-        and the number of canonical-order prunes.
+        then column-lex-descending; and the number of canonical-order prunes
+        among the rows that meet the deficit.
 
         No sort is needed: within one degree no candidate extends another, so
         emitting each subset after its extensions, taken in increasing column
         order, already lists every degree in column-lex-descending order.
-        Each rule is judged where a row is emitted.  With canonical-order on
-        and the last row of degree ``limit``, the rows of that degree that
-        sort above the last row come first: each is a canonical-order prune,
-        until one passes and so do all later ones.  The rows left with fewer
-        than ``need`` columns outside ``tight`` are then only counted: the
-        caller knows the coverage test rejects every one of them.
+        A branch none of whose rows can reach ``need`` columns outside
+        ``tight`` is never entered, and an emission point first drops the
+        rows below the deficit.  With canonical-order on and the last row of
+        degree ``limit``, the rows of that degree that sort above the last
+        row come first: each is a canonical-order prune, until one passes and
+        so do all later ones.
         """
         by_deg: list[list[int]] = [[] for _ in range(limit + 1)]
-        rejected = tied = 0
+        tied = 0
         # the row no top-degree row may sort above, until one does not
         last = None
         if self.canonical_on and rows and rows[-1].bit_count() == limit:
@@ -365,61 +374,47 @@ class _Worker:
             (1 << start, incidence, not (tight >> start) & 1)
             for start, _length, incidence in intervals
         ]
+        # reach[i]: the most columns outside ``tight`` that pools i and later
+        # and the new columns can add, degree limit aside
+        reach = [max_new] * (len(pools) + 1)
+        for i in range(len(pools) - 1, -1, -1):
+            reach[i] = reach[i + 1] + pools[i][2]
 
         def rec(idx: int, omask: int, odeg: int, rows_hit: int, out: int) -> None:
-            # ``out``: the columns of ``omask`` outside ``tight``
-            nonlocal rejected, tied, last
-            if odeg < limit:
+            # ``out``: the columns of ``omask`` outside ``tight``; ``short``:
+            # how many more a row built from here must take
+            nonlocal tied, last
+            room = limit - odeg
+            short = need - out
+            if room:
                 for body in range(idx, len(pools)):
+                    # no row through pool ``body`` reaches ``need`` when
+                    # the pool and what follows it, or the pool and room - 1
+                    # more columns, fall short; reach only falls with body
+                    if reach[body] < short:
+                        break
                     cbit, incidence, outside = pools[body]
-                    if incidence & rows_hit:
+                    if incidence & rows_hit or outside + room <= short:
                         continue
                     rec(body + 1, omask | cbit, odeg + 1, rows_hit | incidence, out + outside)
-            hi = limit - odeg
-            if max_new < hi:
-                hi = max_new
-            elif last is not None:
+            hi = room if room < max_new else max_new
+            # each new column lies outside ``tight``
+            lo = short if short > 0 else 0
+            if hi < lo:
+                return
+            if hi == room and last is not None:
                 # the widest row emitted here has the top degree
                 if _lex_le(omask | (((1 << hi) - 1) << u), last):
                     last = None
                 else:
                     tied += 1
                     hi -= 1
-            # each new column lies outside ``tight``
-            lo = need - out
-            if lo > 0:
-                rejected += lo if lo <= hi else hi + 1
-            else:
-                lo = 0
             for k in range(lo, hi + 1):
                 by_deg[odeg + k].append(omask | (((1 << k) - 1) << u))
 
         rec(0, 0, 0, 0, 0)
         masks = [mask for bucket in reversed(by_deg) for mask in bucket]
-        return masks, rejected, tied
-
-    def _count_rejected_before(
-        self,
-        rows: tuple[int, ...],
-        intervals: tuple[tuple[int, int, int], ...],
-        limit: int,
-        tight: int,
-        need: int,
-        child: int,
-    ) -> None:
-        """Count the rows ``candidates`` rejected that come before ``child`` in
-        its order, each as one attempt and one coverage prune.  Every row is
-        listed again, so this runs only when a search returns or stops
-        through ``child``: at most once per depth."""
-        every, _, _ = self.candidates(rows, intervals, limit, 0, 0)
-        outside = ~tight
-        count = 0
-        for mask in every:
-            if mask == child:
-                break
-            count += (mask & outside).bit_count() < need
-        self.attempts += count
-        self.prunes[RULE_COVERAGE] += count
+        return masks, tied
 
     def _dfs(
         self,
@@ -435,12 +430,6 @@ class _Worker:
         ``candidates``.  A node that passes the bound checks the node budget
         and the deadline, once, before it counts itself; a leaf returns its
         certificate when it is a good coloring.
-
-        The rows ``candidates`` rejects against the tightest final union are
-        counted as attempts and coverage prunes: all of them when the loop
-        ends, and only those ordered before the child when the node returns
-        or stops through a child, so every count is what trying the rows one
-        by one gives.
         """
         m, n, t = self.m, self.n, self.t
         # the next row's degree limit, lowered to the degree cap
@@ -483,7 +472,7 @@ class _Worker:
         # a t-subset of assigned rows leaving >= t columns uncovered is final,
         # whatever rows follow.  A row with fewer than ``need`` columns outside
         # the smallest final union leaves t columns uncovered with it, so
-        # candidates() only counts such rows
+        # candidates() never builds such rows
         finals = unions[t - 1] if coverage_on else ()
         uncovered_limit = n - t
         tight = need = 0
@@ -491,7 +480,7 @@ class _Worker:
             tight = min(finals, key=int.bit_count)
             need = uncovered_limit + 1 - tight.bit_count()
 
-        masks, rejected, tied = self.candidates(rows, intervals, limit, tight, need)
+        masks, tied = self.candidates(rows, intervals, limit, tight, need)
         self.prunes[RULE_CANONICAL] += tied
         for mask in masks:
             self.attempts += 1
@@ -500,18 +489,9 @@ class _Worker:
                     self.prunes[RULE_COVERAGE] += 1
                     break
             else:
-                try:
-                    found = self._dfs(rows + (mask,), intervals, unions)
-                except _BudgetExceeded:
-                    self._count_rejected_before(rows, intervals, limit, tight, need, mask)
-                    raise
+                found = self._dfs(rows + (mask,), intervals, unions)
                 if found is not None:
-                    self._count_rejected_before(rows, intervals, limit, tight, need, mask)
                     return found
-
-        # the rejected rows, each one attempt and one coverage prune
-        self.attempts += rejected
-        self.prunes[RULE_COVERAGE] += rejected
         return None
 
 

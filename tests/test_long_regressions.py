@@ -2,8 +2,8 @@
 scratch, and orbit completeness of orderly generation at 5x5 and 4x6.
 
 Run with ``BIRAMSEY_LONG_TESTS=1 pytest tests/test_long_regressions.py``;
-about two and a half minutes total (three runs on a 2-core machine: 138,
-148 and 153 s; the orbit tests take about 15 s of that).
+about half a minute total (three runs on a 2-core machine: 31, 31 and
+33 s; the orbit tests take about 8 s of that).
 The default suite stays compact, so these are skipped unless asked for.
 """
 
@@ -13,7 +13,6 @@ import pytest
 
 from biramsey.core import BipartiteGraph
 from biramsey.search import (
-    ARROWS,
     NOT_ARROWS,
     ArrowingInstance,
     SearchConfig,
@@ -44,16 +43,6 @@ def test_value_m13_t4():
     record = find_br_m(13, 4, 18, CFG)
     assert record.status == EXACT
     assert record.value == 14
-
-
-def test_upper_bound_m7_t5():
-    assert arrows(ArrowingInstance(7, 30, 5), CFG).verdict == ARROWS
-
-
-def test_lower_bound_m7_t5_unseeded():
-    out = arrows(ArrowingInstance(7, 29, 5), CFG)
-    assert out.verdict == NOT_ARROWS
-    assert out.certificate.valid
 
 
 def test_lower_bound_m8_t5_restriction_free():

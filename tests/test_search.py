@@ -266,25 +266,39 @@ class TestArrows:
         assert out.verdict == NOT_ARROWS
         assert out.certificate.graph == witness_6x39()
         # the exact tree walked, so a change that shifts counting shows up
-        assert (out.stats.nodes, out.stats.attempts) == (2165, 396982)
+        assert (out.stats.nodes, out.stats.attempts) == (2165, 2336)
         assert out.stats.prunes == {
             RULE_DEGREE_CAP: 1,
             RULE_PAIR_BUDGET: 0,
-            RULE_COVERAGE: 394818,
-            RULE_CANONICAL: 20838,
+            RULE_COVERAGE: 172,
+            RULE_CANONICAL: 209,
         }
+
+    def test_upper_bound_m7_t5(self):
+        # the upper-bound half of BR_7(K_{2,2}, K_{5,5}) = 30, about 5 s
+        out = arrows(ArrowingInstance(7, 30, 5))
+        assert out.verdict == ARROWS
+        assert out.stats.nodes == 132987
+
+    def test_lower_bound_m7_t5_unseeded(self):
+        # its lower-bound half, found by the search itself, about 3 s
+        out = arrows(ArrowingInstance(7, 29, 5))
+        assert out.verdict == NOT_ARROWS
+        assert out.certificate.valid
+        assert out.stats.nodes == 97983
 
     def test_arrows_counts_pinned(self):
         # the exact trees of ARROWS decisions: the t=4 instances of the
         # benchmark and of its long record, and a 5x12 t=3 search with and
-        # without single rules
+        # without single rules.  With coverage off every row is built, so
+        # that row holds the counts of trying every extendable row
         cases = (
-            (8, 19, 4, None, 1896, 125556, 1, 123661, 7742),
-            (8, 20, 4, None, 643, 43929, 1, 43287, 989),
-            (6, 23, 4, None, 644, 40356, 1, 39713, 2027),
-            (8, 16, 4, None, 4717, 527739, 1, 523023, 60030),
-            (5, 12, 3, None, 36, 785, 1, 750, 21),
-            (5, 12, 3, RULE_DEGREE_CAP, 64, 1069, 0, 1006, 22),
+            (8, 19, 4, None, 1896, 5775, 1, 3880, 692),
+            (8, 20, 4, None, 643, 3558, 1, 2916, 316),
+            (6, 23, 4, None, 644, 1615, 1, 972, 182),
+            (8, 16, 4, None, 4717, 44707, 1, 39991, 8686),
+            (5, 12, 3, None, 36, 110, 1, 75, 7),
+            (5, 12, 3, RULE_DEGREE_CAP, 64, 300, 0, 237, 8),
             (5, 12, 3, RULE_COVERAGE, 37385, 37384, 1, 0, 12224),
         )
         for m, n, t, off, nodes, attempts, cap, coverage, canonical in cases:
@@ -423,13 +437,31 @@ class TestDeterminism:
     def test_search_fingerprint_pinned(self):
         # verdict, witness masks, nodes, attempts and every prune count of
         # unbudgeted searches, hashed: a change that moves any count or
-        # witness of these trees changes the digest
-        rows = []
+        # witness of these trees changes the digest.  The tree digest holds
+        # only what the tree itself fixes (verdict, witness masks, nodes and
+        # degree-cap prunes), so it stays put when the rows a node lists,
+        # and so its attempts, change while the nodes it expands do not.
+        # Without coverage every extendable row is built and tried, so the
+        # counts of those searches have their own digest
+        rows, tree, uncovered = [], [], []
 
         def case(m, n, t, off=frozenset()):
-            out = arrows(ArrowingInstance(m, n, t), SearchConfig(disabled_rules=off))
+            cfg = SearchConfig(disabled_rules=off)
+            out = arrows(ArrowingInstance(m, n, t), cfg)
             verdict, masks, nodes, attempts, prunes = fingerprint(out)
             rows.append([m, n, t, sorted(off), verdict, masks, nodes, attempts, prunes])
+            tree.append([m, n, t, sorted(off), verdict, masks, nodes,
+                         prunes[RULE_DEGREE_CAP]])
+            coverage_on = cfg.enabled(RULE_COVERAGE) and m >= t
+            if not coverage_on:
+                uncovered.append(rows[-1])
+            # every row tried is a coverage prune or a child node; the root
+            # is a node but no row, and a root the mixed bound prunes (t rows
+            # of degree at most the cap 2t - 1 leave t columns uncovered) is
+            # the only node and one coverage prune
+            root_pruned = (coverage_on and cfg.enabled(RULE_DEGREE_CAP)
+                           and m > t and t * (2 * t - 1) <= n - t)
+            assert attempts == nodes - 1 + prunes[RULE_COVERAGE] - root_pruned, (m, n, t, off)
 
         grid = [(m, n) for m in range(1, 7) for n in range(1, 9)]
         for t in (1, 2, 3):
@@ -448,11 +480,21 @@ class TestDeterminism:
             record = find_br_m(m, t, n_limit)
             masks = record.certificate.graph.row_masks if record.certificate else None
             rows.append([m, t, n_limit, record.status, record.value, record.bound, masks])
+            tree.append(rows[-1])
 
-        assert len(rows) == 639
+        assert len(rows) == len(tree) == 639
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
         assert digest == (
-            "785f6e0c894762349768445fa8319da14e50ddec8e4c9e46df4cd33a3554f3b3"
+            "bb8ad8cf9d60466654c0129772c5bae0be4dab877d911e6b78f0ce9fd4bc2373"
+        ), digest
+        digest = hashlib.sha256(json.dumps(tree).encode()).hexdigest()
+        assert digest == (
+            "275cb94615674c6821ba26a7f01a3d249c02d1052e6fd94ad5d6cf0de0b5c193"
+        ), digest
+        assert len(uncovered) == 273
+        digest = hashlib.sha256(json.dumps(uncovered).encode()).hexdigest()
+        assert digest == (
+            "5a3daea4aef24a5e87145610355e7115b0f50ae6bc7da9f459182dc44a0942c4"
         ), digest
 
     def test_candidate_order(self, monkeypatch):
@@ -460,16 +502,13 @@ class TestDeterminism:
         # canonical-order on, interval-prefix) rows up to the degree limit that
         # take at least ``need`` columns outside ``tight``, the smallest union
         # of t-1 assigned rows; they are listed degree-descending then
-        # column-lex-descending, and the rest are only counted.  The
-        # canonical-order prunes are the rows tying the last row's degree
-        # that sort above it, judged before the deficit
+        # column-lex-descending.  The canonical-order prunes are the rows
+        # among them tying the last row's degree that sort above it
         original = _Worker.candidates
-        original_recount = _Worker._count_rejected_before
-        checked = rejected_total = at_floor = over_limit = recounts = 0
-        recounting = False
+        checked = unbuilt = at_floor = over_limit = 0
 
         def checked_candidates(worker, rows, intervals, limit, tight, need):
-            nonlocal checked, rejected_total, at_floor, over_limit
+            nonlocal checked, unbuilt, at_floor, over_limit
             checked += 1
             n, t, canonical = worker.n, worker.t, worker.canonical_on
             # the limit: the degree cap, and the last row's degree when rows
@@ -479,10 +518,9 @@ class TestDeterminism:
                 want_limit = min(want_limit, rows[-1].bit_count())
             assert limit == want_limit, rows
             # the deficit: joined to a union of t-1 assigned rows, a row needs
-            # n - t + 1 columns covered, or t columns stay uncovered.  The
-            # recount of an early return lists every row
+            # n - t + 1 columns covered, or t columns stay uncovered
             unions = []
-            if worker.coverage_on and not recounting:
+            if worker.coverage_on:
                 unions = [reduce(or_, subset, 0) for subset in combinations(rows, t - 1)]
             if unions:
                 smallest = min(union.bit_count() for union in unions)
@@ -492,44 +530,32 @@ class TestDeterminism:
                 assert (tight, need) == (0, 0), rows
             over_limit += need > limit
 
-            out, rejected, tied = original(worker, rows, intervals, limit, tight, need)
+            out, tied = original(worker, rows, intervals, limit, tight, need)
 
             intervals = [(0, n)]
             for row in rows if canonical else ():
                 intervals = _refine_intervals(intervals, row)
-            expected, above, under = [], 0, 0
+            expected, above = [], 0
             for mask in range(1 << n):
                 if mask.bit_count() > limit or any((mask & r).bit_count() > 1 for r in rows):
                     continue
                 if canonical and _refine_intervals(intervals, mask) is None:
                     continue
-                if (canonical and rows and mask.bit_count() == rows[-1].bit_count()
-                        and not _lex_le(mask, rows[-1])):
-                    above += 1
-                elif (mask & ~tight).bit_count() < need:
-                    under += 1
+                if (mask & ~tight).bit_count() < need:
+                    unbuilt += 1
                     # the old degree floor, need itself, let this row through
                     at_floor += mask.bit_count() >= need
+                elif (canonical and rows and mask.bit_count() == rows[-1].bit_count()
+                        and not _lex_le(mask, rows[-1])):
+                    above += 1
                 else:
                     expected.append(mask)
             expected.sort(key=lambda mask: (-mask.bit_count(), columns_from_mask(mask)))
             assert out == expected, rows
-            assert rejected == under, rows
             assert tied == above, rows
-            rejected_total += rejected
-            return out, rejected, tied
-
-        def flagged_recount(worker, *args):
-            nonlocal recounting, recounts
-            recounts += 1
-            recounting = True
-            try:
-                original_recount(worker, *args)
-            finally:
-                recounting = False
+            return out, tied
 
         monkeypatch.setattr(_Worker, "candidates", checked_candidates)
-        monkeypatch.setattr(_Worker, "_count_rejected_before", flagged_recount)
         configs = [SearchConfig()] + [
             SearchConfig(disabled_rules=frozenset({rule})) for rule in PRUNE_RULES
         ]
@@ -545,26 +571,25 @@ class TestDeterminism:
             for cfg in small:
                 arrows(ArrowingInstance(m, n, t), cfg)
         assert checked > 1000
-        assert rejected_total > 0
-        # the deficit rejects rows the old degree floor kept
+        # rows below the deficit are never built, some of them at or above
+        # the old degree floor
+        assert unbuilt > 0
         assert at_floor > 0
-        # a deficit above the limit: every row left after the tie rule is counted
+        # a deficit above the limit: no row is built
         assert over_limit > 0
-        # early returns recount through candidates(), checked above as well
-        assert recounts > 0
 
     def test_early_return_counts_exact(self):
         # a search that returns through a child, on a good leaf or a budget
-        # trip, has tried only the rows before that child: the rows the
-        # deficit rejected among them count, the rest do not
+        # trip, has tried only the rows built before that child and the
+        # child itself
         cases = (
-            (3, 3, 2, None, NOT_ARROWS, 4, 4, 0, 1, 0),
-            (4, 3, 2, None, NOT_ARROWS, 5, 6, 0, 2, 1),
-            (4, 5, 2, None, NOT_ARROWS, 5, 6, 1, 2, 0),
-            (5, 3, 2, None, NOT_ARROWS, 10, 17, 0, 8, 3),
-            (6, 3, 2, None, NOT_ARROWS, 11, 19, 0, 9, 4),
-            (4, 7, 2, 2, BUDGET_EXHAUSTED, 2, 3, 1, 1, 0),
-            (8, 12, 4, 8, BUDGET_EXHAUSTED, 8, 56, 1, 48, 0),
+            (3, 3, 2, None, NOT_ARROWS, 4, 3, 0, 0, 0),
+            (4, 3, 2, None, NOT_ARROWS, 5, 5, 0, 1, 0),
+            (4, 5, 2, None, NOT_ARROWS, 5, 4, 1, 0, 0),
+            (5, 3, 2, None, NOT_ARROWS, 10, 12, 0, 3, 1),
+            (6, 3, 2, None, NOT_ARROWS, 11, 14, 0, 4, 1),
+            (4, 7, 2, 2, BUDGET_EXHAUSTED, 2, 2, 1, 0, 0),
+            (8, 12, 4, 8, BUDGET_EXHAUSTED, 8, 14, 1, 6, 0),
         )
         for m, n, t, budget, verdict, nodes, attempts, cap, coverage, canonical in cases:
             out = arrows(ArrowingInstance(m, n, t), SearchConfig(node_budget=budget))
