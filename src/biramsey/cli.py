@@ -132,9 +132,6 @@ def _cmd_verify(args) -> int:
     try:
         with open(args.witness, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except UnicodeDecodeError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1

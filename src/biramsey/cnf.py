@@ -34,6 +34,9 @@ from .core import BipartiteGraph, UsageError
 from .search import ArrowingInstance
 from .witnesses import WitnessCertificate, verify_good_coloring
 
+# the most clauses ``solve_with_toy_dpll`` will materialize
+TOY_CLAUSE_LIMIT = 200_000
+
 
 class EncodingIntegrityError(RuntimeError):
     """A model that satisfies the formula decoded to an invalid coloring."""
@@ -309,17 +312,15 @@ def dpll(num_vars: int, clause_list: Sequence[Sequence[int]]):
     return True, tuple(bool(assign[v]) for v in range(1, num_vars + 1))
 
 
-def solve_with_toy_dpll(
-    cnf: CnfInstance, clause_limit: int = 200_000
-) -> tuple[bool, WitnessCertificate | None]:
+def solve_with_toy_dpll(cnf: CnfInstance) -> tuple[bool, WitnessCertificate | None]:
     """Materialize the clauses and run the toy DPLL; guarded by a size limit.
 
     Returns (satisfiable, certificate): SAT models decode, strictly, to a
     verified good coloring.
     """
-    if cnf.num_clauses > clause_limit:
+    if cnf.num_clauses > TOY_CLAUSE_LIMIT:
         raise UsageError(
-            f"{cnf.num_clauses} clauses exceed the toy solver limit {clause_limit}"
+            f"{cnf.num_clauses} clauses exceed the toy solver limit {TOY_CLAUSE_LIMIT}"
         )
     sat, model = dpll(cnf.num_vars, list(cnf.clauses()))
     if not sat:

@@ -51,9 +51,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable
 
-from .core import BipartiteGraph, UsageError, columns_from_mask, mask_from_columns
+from .core import BipartiteGraph, UsageError
 from .witnesses import (
     EXACT,
     LOWER_BOUND,
@@ -213,56 +212,30 @@ def _refine_intervals(
     return out
 
 
-def canonical_extension_ok(
-    partial: BipartiteGraph | None,
-    new_row: Iterable[int],
-    n: int | None = None,
-) -> bool:
-    """True iff appending ``new_row`` keeps a canonical partial assignment canonical.
+def is_canonical_assignment(g: BipartiteGraph) -> bool:
+    """True iff ``g`` is canonical, the only form orderly generation builds.
 
     Canonical means: rows non-increasing in (degree, then column lex order
     with smaller columns more significant), every never-seen column entering
     as the smallest unused index, and each row consuming interchangeable
     columns in label order (the ordered-partition prefix rule, which makes
     the representative unique per column relabelling class up to column
-    automorphisms).  Assumes ``partial`` is itself canonical and that
-    ``new_row`` shares at most one column with each of its rows.  Pass
-    ``partial=None`` with ``n`` for a fresh instance.
+    automorphisms).  This is the definition the orbit tests check: each
+    class of C4-free graphs must keep at least one canonical member.  One
+    pass over the rows; it does not check that ``g`` is C4-free, and it
+    shares only ``_lex_le`` with the engine's row generator.
     """
-    if partial is None:
-        if n is None:
-            raise UsageError("need n when extending a fresh instance")
-        width = n
-        intervals = [(0, width)]
-        last = None
-    else:
-        width = partial.n
-        intervals = [(0, width)]
-        for row_mask in partial.row_masks:
-            intervals = _refine_intervals(intervals, row_mask)
-            if intervals is None:
-                return False  # partial was not canonical to begin with
-        last = partial.row_masks[-1]
-    mask = mask_from_columns(new_row, width)
-    if _refine_intervals(intervals, mask) is None:
-        return False
-    if last is not None:
-        d_new, d_last = mask.bit_count(), last.bit_count()
-        if d_new > d_last:
+    intervals = [(0, g.n)]
+    last = None
+    for mask in g.row_masks:
+        intervals = _refine_intervals(intervals, mask)
+        if intervals is None:
             return False
-        if d_new == d_last and not _lex_le(mask, last):
-            return False
-    return True
-
-
-def is_canonical_assignment(g: BipartiteGraph) -> bool:
-    """Whole-graph canonicality: every prefix passes canonical_extension_ok."""
-    partial = None
-    for i in range(g.m):
-        row = columns_from_mask(g.row_masks[i])
-        if not canonical_extension_ok(partial, row, n=g.n):
-            return False
-        partial = BipartiteGraph(i + 1, g.n, g.row_masks[: i + 1])
+        if last is not None:
+            d_new, d_last = mask.bit_count(), last.bit_count()
+            if d_new > d_last or (d_new == d_last and not _lex_le(mask, last)):
+                return False
+        last = mask
     return True
 
 

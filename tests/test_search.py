@@ -24,7 +24,6 @@ from biramsey.search import (
     _refine_intervals,
     _Worker,
     arrows,
-    canonical_extension_ok,
     degree_cap,
     find_br_m,
     is_canonical_assignment,
@@ -59,6 +58,10 @@ def assert_within_budget(out, budget: int) -> None:
     assert out.stats.nodes <= budget, (out.verdict, out.stats.nodes, budget)
     if out.verdict == BUDGET_EXHAUSTED:
         assert out.stats.nodes == budget
+
+
+def canonical(n: int, rows: list[list[int]]) -> bool:
+    return is_canonical_assignment(BipartiteGraph.from_rows(len(rows), n, rows))
 
 
 def graph_from_code(code: int, m: int, n: int) -> BipartiteGraph:
@@ -102,42 +105,42 @@ class TestNonexistence:
 
 
 class TestCanonicalExtension:
+    # each case gives a whole assignment, so a rejection can only come from
+    # its last row when the assignment without that row is canonical
     def test_first_row_block_rule(self):
-        assert canonical_extension_ok(None, [0, 1, 2], n=5)
-        assert not canonical_extension_ok(None, [1, 2, 3], n=5)
+        assert canonical(5, [[0, 1, 2]])
+        assert not canonical(5, [[1, 2, 3]])
 
     def test_duplicate_with_larger_degree_rejected(self):
-        partial = BipartiteGraph.from_rows(2, 6, [[0, 1, 2], [0]])
-        assert not canonical_extension_ok(partial, [0, 1, 2])
+        assert canonical(6, [[0, 1, 2], [0]])
+        assert not canonical(6, [[0, 1, 2], [0], [0, 1, 2]])
 
     def test_degree_may_not_increase(self):
-        partial = BipartiteGraph.from_rows(1, 6, [[0, 1]])
-        assert not canonical_extension_ok(partial, [0, 2, 3])
-        assert canonical_extension_ok(partial, [0, 2])
-        assert canonical_extension_ok(partial, [2])
+        assert not canonical(6, [[0, 1], [0, 2, 3]])
+        assert canonical(6, [[0, 1], [0, 2]])
+        assert canonical(6, [[0, 1], [2]])
 
     def test_new_columns_must_be_next_block(self):
-        partial = BipartiteGraph.from_rows(1, 6, [[0, 1, 2]])
-        assert canonical_extension_ok(partial, [0, 3])
-        assert not canonical_extension_ok(partial, [0, 4])
+        assert canonical(6, [[0, 1, 2], [0, 3]])
+        assert not canonical(6, [[0, 1, 2], [0, 4]])
 
     def test_lex_order_within_equal_degree(self):
         # rows of equal degree must be non-increasing in column lex order,
         # where smaller columns are more significant
-        partial = BipartiteGraph.from_rows(2, 8, [[0, 1, 2], [3, 4]])
-        assert not canonical_extension_ok(partial, [0, 3])  # {0,3} >lex {3,4}
-        assert canonical_extension_ok(partial, [3, 5])  # {3,5} <lex {3,4}
+        assert canonical(8, [[0, 1, 2], [3, 4]])
+        assert not canonical(8, [[0, 1, 2], [3, 4], [0, 3]])  # {0,3} >lex {3,4}
+        assert canonical(8, [[0, 1, 2], [3, 4], [3, 5]])  # {3,5} <lex {3,4}
 
     def test_interval_prefix_rule(self):
         # interchangeable columns must be consumed in label order: after rows
         # {0,1,2} and {0,3}, a later row meeting {1,2} must take column 1
-        partial = BipartiteGraph.from_rows(2, 8, [[0, 1, 2], [0, 3]])
-        assert canonical_extension_ok(partial, [1, 4])
-        assert not canonical_extension_ok(partial, [2, 4])
-        assert canonical_extension_ok(partial, [1, 3])
-        # non-canonical partials are reported not extendable
-        crooked = BipartiteGraph.from_rows(2, 8, [[0, 1, 2], [1, 3]])
-        assert not canonical_extension_ok(crooked, [4])
+        assert canonical(8, [[0, 1, 2], [0, 3], [1, 4]])
+        assert not canonical(8, [[0, 1, 2], [0, 3], [2, 4]])
+        assert canonical(8, [[0, 1, 2], [0, 3], [1, 3]])
+        # a non-canonical prefix makes the whole assignment non-canonical,
+        # whatever row follows it
+        assert not canonical(8, [[0, 1, 2], [1, 3], [4]])
+        assert not canonical(8, [[0], [1, 2], [3]])
 
     def test_column_permutations_single_representative(self):
         # apply every column permutation to each canonical graph: only images
@@ -442,13 +445,17 @@ class TestDeterminism:
         # degree-cap prunes), so it stays put when the rows a node lists,
         # and so its attempts, change while the nodes it expands do not.
         # Without coverage every extendable row is built and tried, so the
-        # counts of those searches have their own digest
-        rows, tree, uncovered = [], [], []
+        # counts of those searches have their own digest.  Every witness
+        # found with canonical-order on must meet the spec of that rule
+        rows, tree, uncovered, canonical_witnesses = [], [], [], []
 
         def case(m, n, t, off=frozenset()):
             cfg = SearchConfig(disabled_rules=off)
             out = arrows(ArrowingInstance(m, n, t), cfg)
             verdict, masks, nodes, attempts, prunes = fingerprint(out)
+            if masks is not None and cfg.enabled(RULE_CANONICAL):
+                assert is_canonical_assignment(out.certificate.graph), (m, n, t, off)
+                canonical_witnesses.append(masks)
             rows.append([m, n, t, sorted(off), verdict, masks, nodes, attempts, prunes])
             tree.append([m, n, t, sorted(off), verdict, masks, nodes,
                          prunes[RULE_DEGREE_CAP]])
@@ -483,6 +490,7 @@ class TestDeterminism:
             tree.append(rows[-1])
 
         assert len(rows) == len(tree) == 639
+        assert len(canonical_witnesses) == 343
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
         assert digest == (
             "bb8ad8cf9d60466654c0129772c5bae0be4dab877d911e6b78f0ce9fd4bc2373"
