@@ -9,8 +9,8 @@ pruning rules:
 * degree-cap: in a good coloring no row may have degree >= 2t once m >= t+1
   and n >= 2t (see ``degree_cap``);
 * coverage: a t-subset of already-assigned rows that leaves >= t columns
-  uncovered is final evidence of K_{t,t} in the complement, and mixed
-  subsets are bounded optimistically through the degree cap;
+  uncovered is final evidence of K_{t,t} in the complement, and subsets
+  that need future rows are bounded once, at the one size that can prune;
 * canonical-order: orderly generation; rows non-increasing in (degree, then
   column lex order with smaller columns more significant), and new columns
   are always the smallest unused indices.
@@ -106,10 +106,11 @@ class SearchConfig:
     disabled_rules: frozenset = frozenset()
 
     def __post_init__(self):
-        if self.threads < 1:
-            raise UsageError(f"threads must be >= 1, got {self.threads}")
-        if self.node_budget is not None and self.node_budget < 1:
-            raise UsageError("node budget must be >= 1")
+        if not isinstance(self.threads, int) or self.threads < 1:
+            raise UsageError(f"threads must be an int >= 1, got {self.threads!r}")
+        budget = self.node_budget  # a fractional budget would never be met
+        if budget is not None and (not isinstance(budget, int) or budget < 1):
+            raise UsageError(f"node budget must be an int >= 1, got {budget!r}")
         # written so that NaN fails too: a NaN deadline would never trip
         if self.time_budget is not None and not self.time_budget > 0:
             raise UsageError(f"time budget must be positive, got {self.time_budget}")
@@ -280,25 +281,21 @@ class _Worker:
 
     def _coverage_mixed_ok(self, rows: tuple[int, ...], fb: int) -> bool:
         # optimistic bound for t-subsets that still need future rows, each of
-        # degree at most fb
-        m, n, t = self.m, self.n, self.t
-        k1 = len(rows)
-        future = m - k1
+        # degree at most fb: j assigned rows of least degree and t - j future
+        # rows cover at most acc(j) + (t - j) * fb columns, and each step in j
+        # adds one assigned degree less fb.  Under canonical-order degrees
+        # fall row by row to fb or above, so the least j, t - future, binds
+        # (on the last rows); without it every degree is <= fb, the same
+        # limit at every node, so the largest, t - 1, binds
+        t, future = self.t, self.m - len(rows)
         if future <= 0:
             return True
-        ordered = sorted(row.bit_count() for row in rows)
-        limit = n - t
-        acc = 0
-        top = min(t - 1, k1)
-        j0 = t - future if t - future > 0 else 0
-        for j in range(top + 1):
-            if j > 0:
-                acc += ordered[j - 1]
-            if j < j0:
-                continue
-            if acc + (t - j) * fb <= limit:
-                return False
-        return True
+        if self.canonical_on:
+            j = t - future if t > future else 0
+            degrees = [row.bit_count() for row in rows[len(rows) - j :]]
+        else:
+            degrees = sorted(row.bit_count() for row in rows)[: t - 1]
+        return sum(degrees) + (t - len(degrees)) * fb > self.n - t
 
     # -- candidate generation -------------------------------------------
 

@@ -17,15 +17,7 @@ import re
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import (
-    BicliqueSpec,
-    BipartiteGraph,
-    UsageError,
-    columns_from_mask,
-    complement,
-    find_biclique,
-    max_row_degree,
-)
+from .core import BipartiteGraph, UsageError, columns_from_mask, max_row_degree
 
 WITNESS_FORMAT_HEADER = "biramsey-witness v1"
 
@@ -109,60 +101,56 @@ class VerificationReport:
 class WitnessCertificate:
     """A graph together with the verification outcome for (K_{2,2}, K_{t,t}).
 
-    Valid iff the graph avoids ``avoid_left`` and its complement avoids
-    ``avoid_right``.  Invalid certificates carry the violating embedding.
-    The certificate always stores the full graph, so it is self-checking.
+    Valid iff no two rows share two columns and every t rows cover at least
+    n - t + 1 columns.  An invalid certificate names the first row pair
+    sharing two columns and the first t rows covering at most n - t, each
+    with its first 2 shared or t uncovered columns: the embeddings
+    ``find_biclique`` gives in the graph and in its complement.  The
+    certificate always stores the full graph, so it is self-checking.
     """
 
     graph: BipartiteGraph
-    avoid_left: BicliqueSpec
-    avoid_right: BicliqueSpec
+    t: int
     valid: bool
     report: VerificationReport
     left_violation: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     right_violation: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
-    @property
-    def t(self) -> int:
-        return self.avoid_right.t
 
-
-def _build_report(g: BipartiteGraph, t: int) -> VerificationReport:
+def verify_good_coloring(g: BipartiteGraph, t: int) -> WitnessCertificate:
+    """Check whether g is a good coloring for (K_{2,2}, K_{t,t}): one pass over
+    the row pairs and the t-row subsets gives the report and the verdict."""
+    if t < 1:
+        raise UsageError(f"need t >= 1, got {t}")
     masks = g.row_masks
-    pair_sizes = [
-        (masks[i] & masks[j]).bit_count() for i, j in combinations(range(g.m), 2)
-    ]
+    left_violation = right_violation = None
+    pair_sizes = []
+    for pair in combinations(range(g.m), 2):
+        shared = masks[pair[0]] & masks[pair[1]]
+        pair_sizes.append(shared.bit_count())
+        if left_violation is None and pair_sizes[-1] >= 2:
+            left_violation = pair, columns_from_mask(shared)[:2]
     coverages = []  # no t-subsets when m < t
     for subset in combinations(range(g.m), t):
         union = 0
         for i in subset:
             union |= masks[i]
         coverages.append(union.bit_count())
-    return VerificationReport(
-        max_degree=max_row_degree(g),
-        pair_count=len(pair_sizes),
-        min_pair_intersection=min(pair_sizes) if pair_sizes else None,
-        max_pair_intersection=max(pair_sizes) if pair_sizes else None,
-        coverage_subsets=len(coverages),
-        min_coverage=min(coverages) if coverages else None,
-        max_coverage=max(coverages) if coverages else None,
-    )
-
-
-def verify_good_coloring(g: BipartiteGraph, t: int) -> WitnessCertificate:
-    """Check whether g is a good coloring for (K_{2,2}, K_{t,t})."""
-    if t < 1:
-        raise UsageError(f"need t >= 1, got {t}")
-    left = BicliqueSpec(2, 2)
-    right = BicliqueSpec(t, t)
-    left_violation = find_biclique(g, left)
-    right_violation = find_biclique(complement(g), right)
+        if right_violation is None and coverages[-1] <= g.n - t:
+            right_violation = subset, columns_from_mask(g.full_mask ^ union)[:t]
     return WitnessCertificate(
         graph=g,
-        avoid_left=left,
-        avoid_right=right,
+        t=t,
         valid=left_violation is None and right_violation is None,
-        report=_build_report(g, t),
+        report=VerificationReport(
+            max_degree=max_row_degree(g),
+            pair_count=len(pair_sizes),
+            min_pair_intersection=min(pair_sizes) if pair_sizes else None,
+            max_pair_intersection=max(pair_sizes) if pair_sizes else None,
+            coverage_subsets=len(coverages),
+            min_coverage=min(coverages) if coverages else None,
+            max_coverage=max(coverages) if coverages else None,
+        ),
         left_violation=left_violation,
         right_violation=right_violation,
     )

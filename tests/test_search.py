@@ -294,7 +294,9 @@ class TestArrows:
         # the exact trees of ARROWS decisions: the t=4 instances of the
         # benchmark and of its long record, and a 5x12 t=3 search with and
         # without single rules.  With coverage off every row is built, so
-        # that row holds the counts of trying every extendable row
+        # that row holds the counts of trying every extendable row.  The two
+        # t=2 rows without canonical-order pin the mixed coverage bound at
+        # the subset size that binds when rows do not fall in degree
         cases = (
             (8, 19, 4, None, 1896, 5775, 1, 3880, 692),
             (8, 20, 4, None, 643, 3558, 1, 2916, 316),
@@ -303,6 +305,8 @@ class TestArrows:
             (5, 12, 3, None, 36, 110, 1, 75, 7),
             (5, 12, 3, RULE_DEGREE_CAP, 64, 300, 0, 237, 8),
             (5, 12, 3, RULE_COVERAGE, 37385, 37384, 1, 0, 12224),
+            (3, 7, 2, RULE_CANONICAL, 176, 204, 176, 29, 0),
+            (5, 6, 2, RULE_CANONICAL, 1796, 2882, 1796, 1087, 0),
         )
         for m, n, t, off, nodes, attempts, cap, coverage, canonical in cases:
             cfg = SearchConfig(disabled_rules=frozenset({off} if off else ()))
@@ -411,6 +415,11 @@ class TestBudgets:
             SearchConfig(threads=0)
         with pytest.raises(UsageError):
             SearchConfig(node_budget=0)
+        # a fractional budget is never met exactly, so it would never trip
+        with pytest.raises(UsageError):
+            SearchConfig(node_budget=100.5)
+        with pytest.raises(UsageError):
+            SearchConfig(threads=1.5)
         for secs in (0.0, -1.0, float("nan")):
             with pytest.raises(UsageError):
                 SearchConfig(time_budget=secs)

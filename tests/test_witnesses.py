@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biramsey.core import BipartiteGraph, UsageError, contains_biclique, BicliqueSpec
+from biramsey.core import (
+    BicliqueSpec,
+    BipartiteGraph,
+    UsageError,
+    complement,
+    contains_biclique,
+    find_biclique,
+)
 from biramsey.witnesses import (
     EXACT,
     NONEXISTENT,
@@ -127,6 +134,9 @@ class TestVerifyGoodColoring:
                 n - _union(g, s).bit_count() >= t for s in combinations(range(m), t)
             )
             assert cert.valid == valid_direct
+            # the violations are the embeddings the reference search finds
+            assert cert.left_violation == find_biclique(g, BicliqueSpec(2, 2))
+            assert cert.right_violation == find_biclique(complement(g), BicliqueSpec(t, t))
 
     def test_t_must_be_positive(self):
         with pytest.raises(UsageError):
