@@ -25,12 +25,20 @@ The search is one serial depth-first pass from the root.  Its state is the
 argument list of ``_Worker._dfs``, three immutable tuples: the assigned
 rows, the runs of interchangeable columns (with the rows incident to each),
 and the column unions of the j-subsets of rows for j < t.  A node receives
-its parent's runs and unions and checks itself on entry (the mixed coverage
-bound, then the leaf verification); only a node that passes refines them by
-its own last row, so a pruned child or a leaf never builds its state.
-Nothing is restored on return.  Each node works out its next row's degree
-limit once: the last row's degree under canonical-order, else n, lowered to
-the degree cap.
+its parent's runs and unions; a leaf only verifies itself, and an inner
+node refines them by its own last row.  Nothing is restored on return.
+
+A child's mixed coverage bound is decided in its parent, once per degree,
+so a child the bound rejects is never entered.  The bound reads only the
+degrees of the child's rows and its degree limit (``_Worker._limit``: the
+last row's degree under canonical-order, else n, lowered to the degree
+cap), and it can only get worse as the new row's degree falls.  With
+canonical-order on the limit is that degree; with it off the limit is a
+constant and the new degree only joins a sum of the smallest degrees.  So
+the parent walks its candidates one degree at a time, from the top, tests
+the bound on the first row of each degree, and at the first degree that
+fails rejects that degree's rows and every lower degree's together.  The
+root's bound is checked before the search enters it.
 
 Rows the tightest final union rejects are never built.  Let ``tight`` be a
 union of t-1 assigned rows with the fewest columns: a row with fewer than
@@ -131,11 +139,11 @@ class SearchStats:
     mixed coverage bound prunes still counts as one).  ``attempts`` is the
     rows built and tried as the next row of a node.  ``prunes`` maps each
     rule to its count: ``coverage`` is the tried rows a final union or the
-    mixed bound rejects, plus a pruned root; ``canonical-order`` is the rows
-    of the last row's degree that sort above it, among the rows that meet
-    the column deficit; ``degree-cap`` is the inner nodes whose degree
-    limit the cap lowered; ``pair-budget`` is always 0.  ``elapsed`` is
-    wall seconds.
+    mixed bound rejects (a row the bound rejects is counted, never entered),
+    plus a pruned root; ``canonical-order`` is the rows of the last row's
+    degree that sort above it, among the rows that meet the column deficit;
+    ``degree-cap`` is the inner nodes whose degree limit the cap lowered;
+    ``pair-budget`` is always 0.  ``elapsed`` is wall seconds.
     """
 
     nodes: int
@@ -277,7 +285,20 @@ class _Worker:
         # unions[j] holds the column unions of all j-subsets of assigned rows;
         # extended only while coverage is on, the only rule that reads them
         unions: tuple[tuple[int, ...], ...] = ((0,),) + ((),) * (self.t - 1)
-        return self._dfs((), intervals, unions)
+        limit, capped = self._limit(self.n)
+        if self.coverage_on and not self._coverage_mixed_ok((), limit):
+            self.prunes[RULE_COVERAGE] += 1
+            return None
+        return self._dfs((), intervals, unions, limit, capped)
+
+    def _limit(self, degree: int) -> tuple[int, bool]:
+        """The degree limit of the row after one of ``degree`` (n at the root):
+        that degree under canonical-order, else n, lowered to the degree cap;
+        and whether the cap lowered it."""
+        limit = degree if self.canonical_on else self.n
+        if self.cap_on and self.cap < limit:
+            return self.cap, True
+        return limit, False
 
     def _coverage_mixed_ok(self, rows: tuple[int, ...], fb: int) -> bool:
         # optimistic bound for t-subsets that still need future rows, each of
@@ -286,7 +307,9 @@ class _Worker:
         # adds one assigned degree less fb.  Under canonical-order degrees
         # fall row by row to fb or above, so the least j, t - future, binds
         # (on the last rows); without it every degree is <= fb, the same
-        # limit at every node, so the largest, t - 1, binds
+        # limit at every node, so the largest, t - 1, binds.  The result
+        # reads only degrees and falls with the last row's degree when fb is
+        # that degree or a constant, so ``_dfs`` decides it once per degree
         t, future = self.t, self.m - len(rows)
         if future <= 0:
             return True
@@ -306,21 +329,21 @@ class _Worker:
         limit: int,
         tight: int,
         need: int,
-    ) -> tuple[list[int], int]:
+    ) -> tuple[list[list[int]], int]:
         """Extendable row masks after ``rows`` of degree at most ``limit`` with
-        at least ``need`` columns outside ``tight``, ordered degree-descending
-        then column-lex-descending; and the number of canonical-order prunes
-        among the rows that meet the deficit.
+        at least ``need`` columns outside ``tight``, in one bucket per degree
+        (``by_deg[d]`` for d = 0..limit), each column-lex-descending; and the
+        number of canonical-order prunes among the rows that meet the deficit.
 
         No sort is needed: within one degree no candidate extends another, so
         emitting each subset after its extensions, taken in increasing column
-        order, already lists every degree in column-lex-descending order.
+        order, already lists each degree in column-lex-descending order.
         A branch none of whose rows can reach ``need`` columns outside
         ``tight`` is never entered, and an emission point first drops the
         rows below the deficit.  With canonical-order on and the last row of
         degree ``limit``, the rows of that degree that sort above the last
-        row come first: each is a canonical-order prune, until one passes and
-        so do all later ones.
+        row come first in its bucket: each is a canonical-order prune, until
+        one passes and so do all later ones.
         """
         by_deg: list[list[int]] = [[] for _ in range(limit + 1)]
         tied = 0
@@ -383,44 +406,38 @@ class _Worker:
                 by_deg[odeg + k].append(omask | (((1 << k) - 1) << u))
 
         rec(0, 0, 0, 0, 0)
-        masks = [mask for bucket in reversed(by_deg) for mask in bucket]
-        return masks, tied
+        return by_deg, tied
 
     def _dfs(
         self,
         rows: tuple[int, ...],
         intervals: tuple[tuple[int, int, int], ...],
         unions: tuple[tuple[int, ...], ...],
+        limit: int,
+        capped: bool,
     ) -> WitnessCertificate | None:
         """The certificate of the first good coloring at or below this node, or None.
 
         ``intervals`` and ``unions`` describe ``rows[:-1]``, the parent's
-        rows; the node refines them by its own row only once its checks pass.
-        The node's degree limit feeds both the mixed coverage bound and
-        ``candidates``.  A node that passes the bound checks the node budget
-        and the deadline, once, before it counts itself; a leaf returns its
-        certificate when it is a good coloring.
+        rows; the node refines them by its own row.  ``limit`` is the next
+        row's degree limit and ``capped`` whether the degree cap lowered it
+        (``_limit``).  The parent has already checked the mixed coverage
+        bound for this node, so every entry is a node: it checks the node
+        budget and the deadline, once, before it counts itself, and a leaf
+        returns its certificate when it is a good coloring.
         """
-        m, n, t = self.m, self.n, self.t
-        # the next row's degree limit, lowered to the degree cap
-        limit = rows[-1].bit_count() if self.canonical_on and rows else n
-        capped = self.cap_on and self.cap < limit
-        if capped:
-            limit = self.cap
-        coverage_on = self.coverage_on
-        if coverage_on and not self._coverage_mixed_ok(rows, limit):
-            self.prunes[RULE_COVERAGE] += 1
-            return None
         if self.nodes == self.node_limit:
             raise _BudgetExceeded
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _BudgetExceeded
         self.nodes += 1
+        m, n, t = self.m, self.n, self.t
         if len(rows) == m:
             cert = verify_good_coloring(BipartiteGraph(m, n, rows), t)
             return cert if cert.valid else None
         if capped:
             self.prunes[RULE_DEGREE_CAP] += 1
+        coverage_on = self.coverage_on
 
         if rows:
             # the node's own state: refine the parent's by the last row
@@ -450,18 +467,31 @@ class _Worker:
             tight = min(finals, key=int.bit_count)
             need = uncovered_limit + 1 - tight.bit_count()
 
-        masks, tied = self.candidates(rows, intervals, limit, tight, need)
+        by_deg, tied = self.candidates(rows, intervals, limit, tight, need)
         self.prunes[RULE_CANONICAL] += tied
-        for mask in masks:
-            self.attempts += 1
-            for uv in finals:
-                if (uv | mask).bit_count() <= uncovered_limit:
-                    self.prunes[RULE_COVERAGE] += 1
-                    break
-            else:
-                found = self._dfs(rows + (mask,), intervals, unions)
-                if found is not None:
-                    return found
+        for degree in range(limit, -1, -1):
+            bucket = by_deg[degree]
+            if not bucket:
+                continue
+            child_limit, child_capped = self._limit(degree)
+            # the child's mixed bound reads only degrees, and fails at every
+            # lower degree once it fails at this one, so the rows of this
+            # bucket and of all lower ones are tried and rejected together
+            if coverage_on and not self._coverage_mixed_ok(rows + (bucket[0],), child_limit):
+                rejected = sum(map(len, by_deg[: degree + 1]))
+                self.attempts += rejected
+                self.prunes[RULE_COVERAGE] += rejected
+                return None
+            for mask in bucket:
+                self.attempts += 1
+                for uv in finals:
+                    if (uv | mask).bit_count() <= uncovered_limit:
+                        self.prunes[RULE_COVERAGE] += 1
+                        break
+                else:
+                    found = self._dfs(rows + (mask,), intervals, unions, child_limit, child_capped)
+                    if found is not None:
+                        return found
         return None
 
 

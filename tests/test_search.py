@@ -7,6 +7,8 @@ from itertools import combinations, permutations
 from operator import or_
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biramsey.core import BipartiteGraph, UsageError, columns_from_mask
 from biramsey.search import (
@@ -83,6 +85,41 @@ class TestDegreeCap:
     def test_validation(self):
         with pytest.raises(UsageError):
             degree_cap(0, 1, 1)
+
+
+class TestMixedCoverageBound:
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_fails_at_every_lower_degree(self, data):
+        # the lemma behind rejecting a parent's candidates a whole degree at
+        # a time: when the mixed bound fails for a child whose new row has
+        # degree d, it fails for every lower degree too.  The child's limit
+        # is that degree under canonical-order, else the constant n; either
+        # is lowered to the degree cap
+        t = data.draw(st.integers(1, 6), label="t")
+        m = data.draw(st.integers(t, t + 5), label="m")
+        n = data.draw(st.integers(1, 40), label="n")
+        off = data.draw(st.sets(st.sampled_from([RULE_CANONICAL, RULE_DEGREE_CAP])), label="off")
+        worker = _Worker(ArrowingInstance(m, n, t), SearchConfig(disabled_rules=off))
+        canonical, cap_on = RULE_CANONICAL not in off, RULE_DEGREE_CAP not in off
+        cap = degree_cap(m, n, t) if cap_on else n
+        # the rows before the new one: any degrees up to the cap, in
+        # canonical order non-increasing and no lower than the new row's
+        high = data.draw(st.integers(0, cap), label="high")
+        degrees = data.draw(st.lists(st.integers(high if canonical else 0, cap),
+                                     max_size=m - 1), label="degrees")
+        if canonical:
+            degrees.sort(reverse=True)
+        rows = tuple((1 << d) - 1 for d in degrees)
+
+        def child_ok(d):
+            limit = min(d if canonical else n, cap)
+            assert worker._limit(d) == (limit, limit < (d if canonical else n))
+            return worker._coverage_mixed_ok(rows + ((1 << d) - 1,), limit)
+
+        if not child_ok(high):
+            for d in range(high):
+                assert not child_ok(d), (m, n, t, sorted(off), degrees, high, d)
 
 
 class TestNonexistence:
@@ -518,9 +555,10 @@ class TestDeterminism:
         # at every node the candidates are exactly the C4-compatible (and, with
         # canonical-order on, interval-prefix) rows up to the degree limit that
         # take at least ``need`` columns outside ``tight``, the smallest union
-        # of t-1 assigned rows; they are listed degree-descending then
-        # column-lex-descending.  The canonical-order prunes are the rows
-        # among them tying the last row's degree that sort above it
+        # of t-1 assigned rows; they come in one bucket per degree, and read
+        # degree-descending they are column-lex-descending.  The
+        # canonical-order prunes are the rows among them tying the last row's
+        # degree that sort above it
         original = _Worker.candidates
         checked = unbuilt = at_floor = over_limit = 0
 
@@ -568,7 +606,10 @@ class TestDeterminism:
                 else:
                     expected.append(mask)
             expected.sort(key=lambda mask: (-mask.bit_count(), columns_from_mask(mask)))
-            assert out == expected, rows
+            # one bucket per degree up to the limit, each holding that degree
+            assert len(out) == limit + 1, rows
+            assert all(mask.bit_count() == d for d, bucket in enumerate(out) for mask in bucket)
+            assert [mask for bucket in reversed(out) for mask in bucket] == expected, rows
             assert tied == above, rows
             return out, tied
 
@@ -618,6 +659,50 @@ class TestDeterminism:
                 RULE_COVERAGE: coverage,
                 RULE_CANONICAL: canonical,
             }, (m, n, t)
+
+
+    def test_dfs_entered_once_per_node(self, monkeypatch):
+        # a parent decides each child's mixed coverage bound before entering
+        # it, so every _dfs entry is a node, or the one entry that meets a
+        # spent node budget; a root the mixed bound prunes (t rows of degree
+        # at most the cap 2t - 1 leave t columns uncovered) is never entered
+        # but still reported as one node
+        original = _Worker._dfs
+        entries = 0
+
+        def counted(worker, *args):
+            nonlocal entries
+            entries += 1
+            return original(worker, *args)
+
+        monkeypatch.setattr(_Worker, "_dfs", counted)
+        roots_pruned = tripped_runs = 0
+
+        def check(m, n, t, off=frozenset(), budget=None):
+            nonlocal entries, roots_pruned, tripped_runs
+            entries = 0
+            cfg = SearchConfig(node_budget=budget, disabled_rules=off)
+            out = arrows(ArrowingInstance(m, n, t), cfg)
+            tripped = out.verdict == BUDGET_EXHAUSTED
+            root_pruned = (cfg.enabled(RULE_COVERAGE) and cfg.enabled(RULE_DEGREE_CAP)
+                           and m > t and t * (2 * t - 1) <= n - t)
+            assert entries == out.stats.nodes + tripped - root_pruned, (m, n, t, off, budget)
+            roots_pruned += root_pruned
+            tripped_runs += tripped
+
+        for m, n, t in ((8, 19, 4), (8, 20, 4), (6, 23, 4)):
+            check(m, n, t)
+        for t in (1, 2, 3):
+            for m in range(1, 7):
+                for n in range(1, 9):
+                    if m * n <= 20:
+                        check(m, n, t)
+                        for rule in PRUNE_RULES:
+                            check(m, n, t, frozenset({rule}))
+        for m, n, t, budget in ((8, 12, 4, 8), (6, 23, 4, 100), (7, 7, 3, 40), (5, 5, 2, 7)):
+            check(m, n, t, budget=budget)
+        assert roots_pruned > 0
+        assert tripped_runs == 4
 
 
 class TestAblation:
