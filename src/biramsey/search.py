@@ -28,29 +28,21 @@ and the column unions of the j-subsets of rows for j < t.  A node receives
 its parent's runs and unions; a leaf only verifies itself, and an inner
 node refines them by its own last row.  Nothing is restored on return.
 
-A child's mixed coverage bound is decided in its parent, once per degree,
-so a child the bound rejects is never entered.  The bound reads only the
-degrees of the child's rows and its degree limit (``_Worker._limit``: the
-last row's degree under canonical-order, else n, lowered to the degree
-cap), and it can only get worse as the new row's degree falls.  With
-canonical-order on the limit is that degree; with it off the limit is a
-constant and the new degree only joins a sum of the smallest degrees.  So
-the parent walks its candidates one degree at a time, from the top, tests
-the bound on the first row of each degree, and at the first degree that
-fails rejects that degree's rows and every lower degree's together.  The
-root's bound is checked before the search enters it.
-
-Rows the tightest final union rejects are never built.  Let ``tight`` be a
-union of t-1 assigned rows with the fewest columns: a row with fewer than
-need = n - t + 1 - |tight| columns outside it joins those rows in covering at
-most n - t columns, leaving a complement K_{t,t}.  So ``candidates`` takes
-``tight`` and ``need`` and skips such rows.  It generates a row as interval
-columns plus a block of never-used columns, which lie outside every union,
-so it tracks how many of the interval columns lie outside ``tight``, never
-enters a branch none of whose rows can reach ``need``, and drops the rest of
-the short rows where they are emitted.  The rows it builds are still tested
-against every final union.  The counts are those of the rows tried, which
-are the rows built (see ``SearchStats``).
+Rows that cannot pass the deficit or the floor are never built.  Let
+``tight`` be a union of t-1 assigned rows with the fewest columns: a row
+with fewer than need = n - t + 1 - |tight| columns outside it joins those
+rows in covering at most n - t columns, leaving a complement K_{t,t}.  The
+floor (``_Worker._floor``) is the lowest degree of a next row whose child
+still passes the mixed coverage bound, which reads only the degrees of the
+child's rows and its degree limit and can only get worse as the new row's
+degree falls; a node whose floor is above its limit builds no row.  So
+``candidates`` takes ``tight``, ``need`` and the floor.  It generates a row
+as interval columns plus a block of never-used columns, which lie outside
+every union, so it tracks how many of the interval columns lie outside
+``tight``, never enters a branch none of whose rows can reach ``need``, and
+drops the rows below the deficit or the floor where they are emitted.  The
+rows it builds are still tested against every final union.  The counts are
+those of the rows tried, which are the rows built (see ``SearchStats``).
 
 Disabling every rule leaves a sound pure enumeration.
 """
@@ -135,13 +127,11 @@ class SearchConfig:
 class SearchStats:
     """What one decision did; every count is exact and repeats run to run.
 
-    ``nodes`` is the search nodes expanded, the root included (a root the
-    mixed coverage bound prunes still counts as one).  ``attempts`` is the
-    rows built and tried as the next row of a node.  ``prunes`` maps each
-    rule to its count: ``coverage`` is the tried rows a final union or the
-    mixed bound rejects (a row the bound rejects is counted, never entered),
-    plus a pruned root; ``canonical-order`` is the rows of the last row's
-    degree that sort above it, among the rows that meet the column deficit;
+    ``nodes`` is the search nodes expanded, the root included.  ``attempts``
+    is the rows built and tried as the next row of a node.  ``prunes`` maps
+    each rule to its count: ``coverage`` is the tried rows a final union
+    rejects; ``canonical-order`` is the rows of the last row's degree that
+    sort above it, among the rows that meet the column deficit;
     ``degree-cap`` is the inner nodes whose degree limit the cap lowered;
     ``pair-budget`` is always 0.  ``elapsed`` is wall seconds.
     """
@@ -285,11 +275,7 @@ class _Worker:
         # unions[j] holds the column unions of all j-subsets of assigned rows;
         # extended only while coverage is on, the only rule that reads them
         unions: tuple[tuple[int, ...], ...] = ((0,),) + ((),) * (self.t - 1)
-        limit, capped = self._limit(self.n)
-        if self.coverage_on and not self._coverage_mixed_ok((), limit):
-            self.prunes[RULE_COVERAGE] += 1
-            return None
-        return self._dfs((), intervals, unions, limit, capped)
+        return self._dfs((), intervals, unions, *self._limit(self.n))
 
     def _limit(self, degree: int) -> tuple[int, bool]:
         """The degree limit of the row after one of ``degree`` (n at the root):
@@ -300,25 +286,35 @@ class _Worker:
             return self.cap, True
         return limit, False
 
-    def _coverage_mixed_ok(self, rows: tuple[int, ...], fb: int) -> bool:
-        # optimistic bound for t-subsets that still need future rows, each of
-        # degree at most fb: j assigned rows of least degree and t - j future
-        # rows cover at most acc(j) + (t - j) * fb columns, and each step in j
-        # adds one assigned degree less fb.  Under canonical-order degrees
-        # fall row by row to fb or above, so the least j, t - future, binds
-        # (on the last rows); without it every degree is <= fb, the same
-        # limit at every node, so the largest, t - 1, binds.  The result
-        # reads only degrees and falls with the last row's degree when fb is
-        # that degree or a constant, so ``_dfs`` decides it once per degree
-        t, future = self.t, self.m - len(rows)
+    def _floor(self, rows: tuple[int, ...], limit: int) -> int:
+        """The lowest degree of a row after ``rows`` whose child passes the
+        mixed coverage bound; limit + 1 when none does, 0 when it is a leaf.
+
+        The bound: j assigned rows and t - j >= 1 of the child's future rows,
+        each of degree at most its limit fb, cover at most the j degrees plus
+        (t - j) * fb columns, which must exceed n - t.  Under canonical-order
+        fb is the new row's degree d, no more than any assigned degree, so
+        the fewest assigned rows bind: the last r rows and the new row with
+        t - r - 1 future rows, covering s + (t - r) * d, and the floor is the
+        least d that takes this above n - t.  Without it fb is the constant
+        ``limit``, at least every degree, so the most bind: the t - 1 rows of
+        least degree.  Either way the bound only gets worse as d falls.
+        """
+        t, n = self.t, self.n
+        future = self.m - len(rows) - 1  # rows still to come below the child
         if future <= 0:
-            return True
+            return 0
         if self.canonical_on:
-            j = t - future if t > future else 0
-            degrees = [row.bit_count() for row in rows[len(rows) - j :]]
-        else:
-            degrees = sorted(row.bit_count() for row in rows)[: t - 1]
-        return sum(degrees) + (t - len(degrees)) * fb > self.n - t
+            r = t - future - 1 if t > future else 0
+            s = sum(map(int.bit_count, rows[len(rows) - r :]))
+            floor = (n - t - s) // (t - r) + 1
+            return floor if floor > 0 else 0
+        degrees = sorted(row.bit_count() for row in rows)[: t - 1]
+        for d in range(limit + 1):
+            least = sorted(degrees + [d])[: t - 1]
+            if sum(least) + (t - len(least)) * limit > n - t:
+                return d
+        return limit + 1
 
     # -- candidate generation -------------------------------------------
 
@@ -327,23 +323,25 @@ class _Worker:
         rows: tuple[int, ...],
         intervals: tuple[tuple[int, int, int], ...],
         limit: int,
+        floor: int,
         tight: int,
         need: int,
     ) -> tuple[list[list[int]], int]:
-        """Extendable row masks after ``rows`` of degree at most ``limit`` with
-        at least ``need`` columns outside ``tight``, in one bucket per degree
-        (``by_deg[d]`` for d = 0..limit), each column-lex-descending; and the
-        number of canonical-order prunes among the rows that meet the deficit.
+        """Extendable row masks after ``rows`` of degree ``floor`` to ``limit``
+        with at least ``need`` columns outside ``tight``, in one bucket per
+        degree (``by_deg[d]`` for d = 0..limit, empty below the floor), each
+        column-lex-descending; and the number of canonical-order prunes among
+        the rows that meet the deficit.
 
         No sort is needed: within one degree no candidate extends another, so
         emitting each subset after its extensions, taken in increasing column
         order, already lists each degree in column-lex-descending order.
         A branch none of whose rows can reach ``need`` columns outside
         ``tight`` is never entered, and an emission point first drops the
-        rows below the deficit.  With canonical-order on and the last row of
-        degree ``limit``, the rows of that degree that sort above the last
-        row come first in its bucket: each is a canonical-order prune, until
-        one passes and so do all later ones.
+        rows below the deficit or the floor.  With canonical-order on and the
+        last row of degree ``limit``, the rows of that degree that sort above
+        the last row come first in its bucket: each is a canonical-order
+        prune, until one passes and so do all later ones.
         """
         by_deg: list[list[int]] = [[] for _ in range(limit + 1)]
         tied = 0
@@ -392,7 +390,9 @@ class _Worker:
                     rec(body + 1, omask | cbit, odeg + 1, rows_hit | incidence, out + outside)
             hi = room if room < max_new else max_new
             # each new column lies outside ``tight``
-            lo = short if short > 0 else 0
+            lo = floor - odeg if floor - odeg > short else short
+            if lo < 0:
+                lo = 0
             if hi < lo:
                 return
             if hi == room and last is not None:
@@ -421,10 +421,10 @@ class _Worker:
         ``intervals`` and ``unions`` describe ``rows[:-1]``, the parent's
         rows; the node refines them by its own row.  ``limit`` is the next
         row's degree limit and ``capped`` whether the degree cap lowered it
-        (``_limit``).  The parent has already checked the mixed coverage
-        bound for this node, so every entry is a node: it checks the node
-        budget and the deadline, once, before it counts itself, and a leaf
-        returns its certificate when it is a good coloring.
+        (``_limit``).  Every entry is a node, the root too: it checks the
+        node budget and the deadline, once, before it counts itself, and a
+        leaf returns its certificate when it is a good coloring.  An inner
+        node whose floor is above its limit has no child to try.
         """
         if self.nodes == self.node_limit:
             raise _BudgetExceeded
@@ -438,6 +438,9 @@ class _Worker:
         if capped:
             self.prunes[RULE_DEGREE_CAP] += 1
         coverage_on = self.coverage_on
+        floor = self._floor(rows, limit) if coverage_on else 0
+        if floor > limit:
+            return None
 
         if rows:
             # the node's own state: refine the parent's by the last row
@@ -467,21 +470,13 @@ class _Worker:
             tight = min(finals, key=int.bit_count)
             need = uncovered_limit + 1 - tight.bit_count()
 
-        by_deg, tied = self.candidates(rows, intervals, limit, tight, need)
+        by_deg, tied = self.candidates(rows, intervals, limit, floor, tight, need)
         self.prunes[RULE_CANONICAL] += tied
-        for degree in range(limit, -1, -1):
+        for degree in range(limit, floor - 1, -1):
             bucket = by_deg[degree]
             if not bucket:
                 continue
             child_limit, child_capped = self._limit(degree)
-            # the child's mixed bound reads only degrees, and fails at every
-            # lower degree once it fails at this one, so the rows of this
-            # bucket and of all lower ones are tried and rejected together
-            if coverage_on and not self._coverage_mixed_ok(rows + (bucket[0],), child_limit):
-                rejected = sum(map(len, by_deg[: degree + 1]))
-                self.attempts += rejected
-                self.prunes[RULE_COVERAGE] += rejected
-                return None
             for mask in bucket:
                 self.attempts += 1
                 for uv in finals:
@@ -533,8 +528,7 @@ def arrows(
         budget_hit = True
 
     elapsed = time.perf_counter() - start
-    # the root counts as one node even when the coverage bound prunes it
-    stats = SearchStats(max(worker.nodes, 1), worker.attempts, worker.prunes, elapsed)
+    stats = SearchStats(worker.nodes, worker.attempts, worker.prunes, elapsed)
 
     if found is not None:
         return SearchOutcome(NOT_ARROWS, stats, found)

@@ -90,12 +90,14 @@ class TestDegreeCap:
 class TestMixedCoverageBound:
     @settings(max_examples=500, deadline=None)
     @given(st.data())
-    def test_fails_at_every_lower_degree(self, data):
-        # the lemma behind rejecting a parent's candidates a whole degree at
-        # a time: when the mixed bound fails for a child whose new row has
-        # degree d, it fails for every lower degree too.  The child's limit
-        # is that degree under canonical-order, else the constant n; either
-        # is lowered to the degree cap
+    def test_floor_is_the_lowest_passing_degree(self, data):
+        # the floor against a brute force of the mixed bound that shares no
+        # code with the engine: a child passes when every j-subset of its
+        # rows, joined by t - j of its future rows (1 <= t - j <= future),
+        # each of degree at most the child's limit, can cover n - t + 1
+        # columns.  The child's limit is the new row's degree under
+        # canonical-order, else the constant n; either is lowered to the
+        # degree cap.  A leaf child has no future rows and passes
         t = data.draw(st.integers(1, 6), label="t")
         m = data.draw(st.integers(t, t + 5), label="m")
         n = data.draw(st.integers(1, 40), label="n")
@@ -103,23 +105,30 @@ class TestMixedCoverageBound:
         worker = _Worker(ArrowingInstance(m, n, t), SearchConfig(disabled_rules=off))
         canonical, cap_on = RULE_CANONICAL not in off, RULE_DEGREE_CAP not in off
         cap = degree_cap(m, n, t) if cap_on else n
-        # the rows before the new one: any degrees up to the cap, in
-        # canonical order non-increasing and no lower than the new row's
-        high = data.draw(st.integers(0, cap), label="high")
-        degrees = data.draw(st.lists(st.integers(high if canonical else 0, cap),
-                                     max_size=m - 1), label="degrees")
+        # the rows before the new one, up to m - 1 of them: any degrees up to
+        # the cap, non-increasing in canonical order, where the node's limit
+        # is the last degree
+        degrees = data.draw(st.lists(st.integers(0, cap), max_size=m - 1), label="degrees")
         if canonical:
             degrees.sort(reverse=True)
+        limit = min(degrees[-1] if canonical and degrees else n, cap)
         rows = tuple((1 << d) - 1 for d in degrees)
+        floor = worker._floor(rows, limit)
 
-        def child_ok(d):
-            limit = min(d if canonical else n, cap)
-            assert worker._limit(d) == (limit, limit < (d if canonical else n))
-            return worker._coverage_mixed_ok(rows + ((1 << d) - 1,), limit)
+        def child_passes(d):
+            child = degrees + [d]
+            child_limit = min(d if canonical else n, cap)
+            assert worker._limit(d) == (child_limit, child_limit < (d if canonical else n))
+            future = m - len(child)
+            return all(
+                sum(subset) + (t - j) * child_limit > n - t
+                for j in range(len(child) + 1)
+                if 1 <= t - j <= future
+                for subset in combinations(child, j)
+            )
 
-        if not child_ok(high):
-            for d in range(high):
-                assert not child_ok(d), (m, n, t, sorted(off), degrees, high, d)
+        for d in range(limit + 1):
+            assert (d >= floor) == child_passes(d), (m, n, t, sorted(off), degrees, d, floor)
 
 
 class TestNonexistence:
@@ -252,8 +261,9 @@ class TestArrows:
 
     def test_large_n_root_prune(self):
         # with cap 3, two rows cover at most 6 columns, leaving >= 2 of 100
-        # (or of 8) uncovered: the root alone decides
-        root_prunes = {rule: 0 for rule in PRUNE_RULES} | {RULE_COVERAGE: 1}
+        # (or of 8) uncovered: the root's floor is above its capped limit,
+        # so the root alone decides and builds no row
+        root_prunes = {rule: 0 for rule in PRUNE_RULES} | {RULE_DEGREE_CAP: 1}
         for m, n in ((7, 100), (3, 8)):
             out = arrows(ArrowingInstance(m, n, 2))
             assert out.verdict == ARROWS
@@ -306,11 +316,11 @@ class TestArrows:
         assert out.verdict == NOT_ARROWS
         assert out.certificate.graph == witness_6x39()
         # the exact tree walked, so a change that shifts counting shows up
-        assert (out.stats.nodes, out.stats.attempts) == (2165, 2336)
+        assert (out.stats.nodes, out.stats.attempts) == (2165, 2164)
         assert out.stats.prunes == {
             RULE_DEGREE_CAP: 1,
             RULE_PAIR_BUDGET: 0,
-            RULE_COVERAGE: 172,
+            RULE_COVERAGE: 0,
             RULE_CANONICAL: 209,
         }
 
@@ -332,18 +342,18 @@ class TestArrows:
         # benchmark and of its long record, and a 5x12 t=3 search with and
         # without single rules.  With coverage off every row is built, so
         # that row holds the counts of trying every extendable row.  The two
-        # t=2 rows without canonical-order pin the mixed coverage bound at
-        # the subset size that binds when rows do not fall in degree
+        # t=2 rows without canonical-order pin the floor at the subset size
+        # that binds when rows do not fall in degree
         cases = (
-            (8, 19, 4, None, 1896, 5775, 1, 3880, 692),
-            (8, 20, 4, None, 643, 3558, 1, 2916, 316),
-            (6, 23, 4, None, 644, 1615, 1, 972, 182),
-            (8, 16, 4, None, 4717, 44707, 1, 39991, 8686),
-            (5, 12, 3, None, 36, 110, 1, 75, 7),
-            (5, 12, 3, RULE_DEGREE_CAP, 64, 300, 0, 237, 8),
+            (8, 19, 4, None, 1896, 2539, 1, 644, 692),
+            (8, 20, 4, None, 643, 787, 1, 145, 316),
+            (6, 23, 4, None, 644, 748, 1, 105, 182),
+            (8, 16, 4, None, 4717, 36884, 1, 32168, 8686),
+            (5, 12, 3, None, 36, 47, 1, 12, 7),
+            (5, 12, 3, RULE_DEGREE_CAP, 64, 75, 0, 12, 8),
             (5, 12, 3, RULE_COVERAGE, 37385, 37384, 1, 0, 12224),
-            (3, 7, 2, RULE_CANONICAL, 176, 204, 176, 29, 0),
-            (5, 6, 2, RULE_CANONICAL, 1796, 2882, 1796, 1087, 0),
+            (3, 7, 2, RULE_CANONICAL, 176, 175, 176, 0, 0),
+            (5, 6, 2, RULE_CANONICAL, 1796, 2875, 1796, 1080, 0),
         )
         for m, n, t, off, nodes, attempts, cap, coverage, canonical in cases:
             cfg = SearchConfig(disabled_rules=frozenset({off} if off else ()))
@@ -437,11 +447,12 @@ class TestBudgets:
         assert out.verdict == NOT_ARROWS
 
     def test_time_budget_trips(self):
-        # an already-passed deadline stops the search before its first attempt
+        # an already-passed deadline stops the search on entry to the root,
+        # before it expands the root or tries a row
         cfg = SearchConfig(time_budget=1e-9)
         out = arrows(ArrowingInstance(6, 40, 5), cfg)
         assert out.verdict == BUDGET_EXHAUSTED
-        assert out.stats.attempts == 0
+        assert (out.stats.nodes, out.stats.attempts) == (0, 0)
         assert out.certificate is None
         record = find_br_m(6, 5, 45, cfg)
         assert record.status == LOWER_BOUND
@@ -509,12 +520,8 @@ class TestDeterminism:
             if not coverage_on:
                 uncovered.append(rows[-1])
             # every row tried is a coverage prune or a child node; the root
-            # is a node but no row, and a root the mixed bound prunes (t rows
-            # of degree at most the cap 2t - 1 leave t columns uncovered) is
-            # the only node and one coverage prune
-            root_pruned = (coverage_on and cfg.enabled(RULE_DEGREE_CAP)
-                           and m > t and t * (2 * t - 1) <= n - t)
-            assert attempts == nodes - 1 + prunes[RULE_COVERAGE] - root_pruned, (m, n, t, off)
+            # is a node but no row
+            assert attempts == nodes - 1 + prunes[RULE_COVERAGE], (m, n, t, off)
 
         grid = [(m, n) for m in range(1, 7) for n in range(1, 9)]
         for t in (1, 2, 3):
@@ -539,11 +546,11 @@ class TestDeterminism:
         assert len(canonical_witnesses) == 343
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
         assert digest == (
-            "bb8ad8cf9d60466654c0129772c5bae0be4dab877d911e6b78f0ce9fd4bc2373"
+            "ab20e712c2c730df66e4932edb42657e57f383026f01357695d35e38b236c7f4"
         ), digest
         digest = hashlib.sha256(json.dumps(tree).encode()).hexdigest()
         assert digest == (
-            "275cb94615674c6821ba26a7f01a3d249c02d1052e6fd94ad5d6cf0de0b5c193"
+            "73023b11fa329041f8e9de46fdb53623efb79673b40d1d748d661ff8dc9ca313"
         ), digest
         assert len(uncovered) == 273
         digest = hashlib.sha256(json.dumps(uncovered).encode()).hexdigest()
@@ -555,15 +562,15 @@ class TestDeterminism:
         # at every node the candidates are exactly the C4-compatible (and, with
         # canonical-order on, interval-prefix) rows up to the degree limit that
         # take at least ``need`` columns outside ``tight``, the smallest union
-        # of t-1 assigned rows; they come in one bucket per degree, and read
-        # degree-descending they are column-lex-descending.  The
-        # canonical-order prunes are the rows among them tying the last row's
-        # degree that sort above it
+        # of t-1 assigned rows, and reach the floor; they come in one bucket
+        # per degree, and read degree-descending they are
+        # column-lex-descending.  The canonical-order prunes are the rows
+        # among them tying the last row's degree that sort above it
         original = _Worker.candidates
-        checked = unbuilt = at_floor = over_limit = 0
+        checked = unbuilt = at_need = over_limit = below_floor = 0
 
-        def checked_candidates(worker, rows, intervals, limit, tight, need):
-            nonlocal checked, unbuilt, at_floor, over_limit
+        def checked_candidates(worker, rows, intervals, limit, floor, tight, need):
+            nonlocal checked, unbuilt, at_need, over_limit, below_floor
             checked += 1
             n, t, canonical = worker.n, worker.t, worker.canonical_on
             # the limit: the degree cap, and the last row's degree when rows
@@ -584,8 +591,12 @@ class TestDeterminism:
             else:
                 assert (tight, need) == (0, 0), rows
             over_limit += need > limit
+            # a node whose floor is above its limit builds nothing, and
+            # without coverage there is no floor
+            assert 0 <= floor <= limit, rows
+            assert worker.coverage_on or floor == 0, rows
 
-            out, tied = original(worker, rows, intervals, limit, tight, need)
+            out, tied = original(worker, rows, intervals, limit, floor, tight, need)
 
             intervals = [(0, n)]
             for row in rows if canonical else ():
@@ -598,8 +609,10 @@ class TestDeterminism:
                     continue
                 if (mask & ~tight).bit_count() < need:
                     unbuilt += 1
-                    # the old degree floor, need itself, let this row through
-                    at_floor += mask.bit_count() >= need
+                    # the old degree bound, need itself, let this row through
+                    at_need += mask.bit_count() >= need
+                elif mask.bit_count() < floor:
+                    below_floor += 1
                 elif (canonical and rows and mask.bit_count() == rows[-1].bit_count()
                         and not _lex_le(mask, rows[-1])):
                     above += 1
@@ -609,6 +622,7 @@ class TestDeterminism:
             # one bucket per degree up to the limit, each holding that degree
             assert len(out) == limit + 1, rows
             assert all(mask.bit_count() == d for d, bucket in enumerate(out) for mask in bucket)
+            assert not any(out[:floor]), rows
             assert [mask for bucket in reversed(out) for mask in bucket] == expected, rows
             assert tied == above, rows
             return out, tied
@@ -630,9 +644,11 @@ class TestDeterminism:
                 arrows(ArrowingInstance(m, n, t), cfg)
         assert checked > 1000
         # rows below the deficit are never built, some of them at or above
-        # the old degree floor
+        # the old degree bound
         assert unbuilt > 0
-        assert at_floor > 0
+        assert at_need > 0
+        # nor are rows below the floor, some of which meet the deficit
+        assert below_floor > 0
         # a deficit above the limit: no row is built
         assert over_limit > 0
 
@@ -644,10 +660,10 @@ class TestDeterminism:
             (3, 3, 2, None, NOT_ARROWS, 4, 3, 0, 0, 0),
             (4, 3, 2, None, NOT_ARROWS, 5, 5, 0, 1, 0),
             (4, 5, 2, None, NOT_ARROWS, 5, 4, 1, 0, 0),
-            (5, 3, 2, None, NOT_ARROWS, 10, 12, 0, 3, 1),
-            (6, 3, 2, None, NOT_ARROWS, 11, 14, 0, 4, 1),
+            (5, 3, 2, None, NOT_ARROWS, 10, 11, 0, 2, 1),
+            (6, 3, 2, None, NOT_ARROWS, 11, 13, 0, 3, 1),
             (4, 7, 2, 2, BUDGET_EXHAUSTED, 2, 2, 1, 0, 0),
-            (8, 12, 4, 8, BUDGET_EXHAUSTED, 8, 14, 1, 6, 0),
+            (8, 12, 4, 8, BUDGET_EXHAUSTED, 8, 9, 1, 1, 0),
         )
         for m, n, t, budget, verdict, nodes, attempts, cap, coverage, canonical in cases:
             out = arrows(ArrowingInstance(m, n, t), SearchConfig(node_budget=budget))
@@ -662,11 +678,11 @@ class TestDeterminism:
 
 
     def test_dfs_entered_once_per_node(self, monkeypatch):
-        # a parent decides each child's mixed coverage bound before entering
-        # it, so every _dfs entry is a node, or the one entry that meets a
-        # spent node budget; a root the mixed bound prunes (t rows of degree
-        # at most the cap 2t - 1 leave t columns uncovered) is never entered
-        # but still reported as one node
+        # a parent never builds a child that fails the mixed coverage bound,
+        # so every _dfs entry is a node, or the one entry that meets a spent
+        # node budget.  A root whose floor is above its limit (t rows of
+        # degree at most the cap 2t - 1 leave t columns uncovered) is entered
+        # and counted like any other
         original = _Worker._dfs
         entries = 0
 
@@ -676,18 +692,16 @@ class TestDeterminism:
             return original(worker, *args)
 
         monkeypatch.setattr(_Worker, "_dfs", counted)
-        roots_pruned = tripped_runs = 0
+        roots_alone = tripped_runs = 0
 
         def check(m, n, t, off=frozenset(), budget=None):
-            nonlocal entries, roots_pruned, tripped_runs
+            nonlocal entries, roots_alone, tripped_runs
             entries = 0
             cfg = SearchConfig(node_budget=budget, disabled_rules=off)
             out = arrows(ArrowingInstance(m, n, t), cfg)
             tripped = out.verdict == BUDGET_EXHAUSTED
-            root_pruned = (cfg.enabled(RULE_COVERAGE) and cfg.enabled(RULE_DEGREE_CAP)
-                           and m > t and t * (2 * t - 1) <= n - t)
-            assert entries == out.stats.nodes + tripped - root_pruned, (m, n, t, off, budget)
-            roots_pruned += root_pruned
+            assert entries == out.stats.nodes + tripped, (m, n, t, off, budget)
+            roots_alone += out.verdict == ARROWS and out.stats.nodes == 1
             tripped_runs += tripped
 
         for m, n, t in ((8, 19, 4), (8, 20, 4), (6, 23, 4)):
@@ -701,7 +715,7 @@ class TestDeterminism:
                             check(m, n, t, frozenset({rule}))
         for m, n, t, budget in ((8, 12, 4, 8), (6, 23, 4, 100), (7, 7, 3, 40), (5, 5, 2, 7)):
             check(m, n, t, budget=budget)
-        assert roots_pruned > 0
+        assert roots_alone > 0
         assert tripped_runs == 4
 
 
