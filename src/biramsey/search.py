@@ -25,24 +25,31 @@ The search is one serial depth-first pass from the root.  Its state is the
 argument list of ``_Worker._dfs``, three immutable tuples: the assigned
 rows, the runs of interchangeable columns (with the rows incident to each),
 and the column unions of the j-subsets of rows for j < t.  A node receives
-its parent's runs and unions; a leaf only verifies itself, and an inner
-node refines them by its own last row.  Nothing is restored on return.
+its parent's runs and unions; a leaf only verifies itself.  An inner node
+extends the unions by its own last row, returns at once when no next row
+can meet the column deficit below, and only then refines the runs by that
+row.  Nothing is restored on return.
 
 Rows that cannot pass the deficit or the floor are never built.  Let
 ``tight`` be a union of t-1 assigned rows with the fewest columns: a row
 with fewer than need = n - t + 1 - |tight| columns outside it joins those
-rows in covering at most n - t columns, leaving a complement K_{t,t}.  The
-floor (``_Worker._floor``) is the lowest degree of a next row whose child
-still passes the mixed coverage bound, which reads only the degrees of the
-child's rows and its degree limit and can only get worse as the new row's
-degree falls; a node whose floor is above its limit builds no row.  So
-``candidates`` takes ``tight``, ``need`` and the floor.  It generates a row
-as interval columns plus a block of never-used columns, which lie outside
-every union, so it tracks how many of the interval columns lie outside
-``tight``, never enters a branch none of whose rows can reach ``need``, and
-drops the rows below the deficit or the floor where they are emitted.  The
-rows it builds are still tested against every final union.  The counts are
-those of the rows tried, which are the rows built (see ``SearchStats``).
+rows in covering at most n - t columns, leaving a complement K_{t,t}.  A
+next row meets each assigned row in at most one column, and its columns
+outside ``tight`` lie in none of those t-1 rows, so it has at most
+len(rows) - t + 1 + unused of them, ``unused`` being the columns no assigned
+row takes; a node whose need exceeds that builds no row and returns before
+it sets up any generation.  The floor (``_Worker._floor``) is the lowest
+degree of a next row whose child still passes the mixed coverage bound,
+which reads only the degrees of the child's rows and its degree limit and
+can only get worse as the new row's degree falls; a node whose floor is
+above its limit builds no row.  So ``candidates`` takes ``tight``, ``need``
+and the floor.  It generates a row as interval columns plus a block of
+never-used columns, which lie outside every union, so it tracks how many of
+the interval columns lie outside ``tight``, never enters a branch none of
+whose rows can reach ``need``, and drops the rows below the deficit or the
+floor where they are emitted.  The rows it builds are still tested against
+every final union.  The counts are those of the rows tried, which are the
+rows built (see ``SearchStats``).
 
 Disabling every rule leaves a sound pure enumeration.
 """
@@ -51,6 +58,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .core import BipartiteGraph, UsageError
 from .witnesses import (
@@ -424,7 +433,10 @@ class _Worker:
         (``_limit``).  Every entry is a node, the root too: it checks the
         node budget and the deadline, once, before it counts itself, and a
         leaf returns its certificate when it is a good coloring.  An inner
-        node whose floor is above its limit has no child to try.
+        node returns with no child to try when its floor is above its limit,
+        or, once it has extended the unions and found the column deficit,
+        when no next row can reach that deficit; only then does it refine
+        the intervals and build its candidates.
         """
         if self.nodes == self.node_limit:
             raise _BudgetExceeded
@@ -442,22 +454,12 @@ class _Worker:
         if floor > limit:
             return None
 
-        if rows:
-            # the node's own state: refine the parent's by the last row
-            row, row_bit = rows[-1], 1 << (len(rows) - 1)
-            refined = []
-            for start, length, incidence in intervals:
-                c = ((row >> start) & ((1 << length) - 1)).bit_count()
-                if c:
-                    refined.append((start, c, incidence | row_bit))
-                if length - c:
-                    refined.append((start + c, length - c, incidence))
-            intervals = tuple(refined)
-            if coverage_on:
-                extended = [unions[0]]
-                for j in range(1, t):
-                    extended.append(unions[j] + tuple([uv | row for uv in unions[j - 1]]))
-                unions = tuple(extended)
+        if rows and coverage_on:
+            row = rows[-1]
+            extended = [unions[0]]
+            for j in range(1, t):
+                extended.append(unions[j] + tuple([uv | row for uv in unions[j - 1]]))
+            unions = tuple(extended)
 
         # a t-subset of assigned rows leaving >= t columns uncovered is final,
         # whatever rows follow.  A row with fewer than ``need`` columns outside
@@ -469,6 +471,23 @@ class _Worker:
         if finals:
             tight = min(finals, key=int.bit_count)
             need = uncovered_limit + 1 - tight.bit_count()
+            # a next row meets each assigned row in at most one column, and a
+            # column outside ``tight`` lies in none of its t - 1 rows: it is
+            # never used, or the row's one meeting with another assigned row
+            if need > len(rows) - t + 1 + n - reduce(or_, rows, 0).bit_count():
+                return None
+
+        if rows:
+            # the node's own intervals: refine the parent's by the last row
+            row, row_bit = rows[-1], 1 << (len(rows) - 1)
+            refined = []
+            for start, length, incidence in intervals:
+                c = ((row >> start) & ((1 << length) - 1)).bit_count()
+                if c:
+                    refined.append((start, c, incidence | row_bit))
+                if length - c:
+                    refined.append((start + c, length - c, incidence))
+            intervals = tuple(refined)
 
         by_deg, tied = self.candidates(rows, intervals, limit, floor, tight, need)
         self.prunes[RULE_CANONICAL] += tied

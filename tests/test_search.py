@@ -7,7 +7,7 @@ from itertools import combinations, permutations
 from operator import or_
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from biramsey.core import BipartiteGraph, UsageError, columns_from_mask
@@ -129,6 +129,57 @@ class TestMixedCoverageBound:
 
         for d in range(limit + 1):
             assert (d >= floor) == child_passes(d), (m, n, t, sorted(off), degrees, d, floor)
+
+
+def canonical_shape(rows: list[int], n: int) -> list[int]:
+    """``rows`` with degrees non-increasing and every new column the smallest
+    unused one, as the engine builds them under canonical-order."""
+    rows = sorted(rows, key=int.bit_count, reverse=True)
+    label: dict[int, int] = {}
+    for row in rows:
+        for c in range(n):
+            if row >> c & 1 and c not in label:
+                label[c] = len(label)
+    return [sum(1 << label[c] for c in range(n) if row >> c & 1) for row in rows]
+
+
+class TestDeficitReach:
+    def test_columns_outside_a_union_are_bounded_and_the_bound_is_met(self):
+        # engine-free: a row meeting each assigned row in at most one column
+        # has at most len(rows) - t + 1 + unused columns outside the union of
+        # any t - 1 of the rows, ``unused`` being the columns no row takes.
+        # _Worker._dfs returns before building candidates when the column
+        # deficit exceeds this.  Some draws meet the bound, so a bound one
+        # tighter fails here
+        attained = 0
+
+        @settings(max_examples=500, deadline=None)
+        @given(st.data())
+        def check(data):
+            nonlocal attained
+            t = data.draw(st.integers(1, 4), label="t")
+            n = data.draw(st.integers(1, 10), label="n")
+            drawn = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=7), label="drawn")
+            rows = []
+            for mask in drawn:
+                if all((mask & row).bit_count() <= 1 for row in rows):
+                    rows.append(mask)
+            assume(len(rows) >= t - 1)
+            if data.draw(st.booleans(), label="canonical"):
+                rows = canonical_shape(rows, n)
+            bound = len(rows) - t + 1 + n - reduce(or_, rows, 0).bit_count()
+            compatible = [
+                mask for mask in range(1 << n)
+                if all((mask & row).bit_count() <= 1 for row in rows)
+            ]
+            for subset in combinations(rows, t - 1):
+                union = reduce(or_, subset, 0)
+                most = max((mask & ~union).bit_count() for mask in compatible)
+                assert most <= bound, (n, t, rows, subset)
+                attained += most == bound
+
+        check()
+        assert attained > 0
 
 
 class TestNonexistence:
@@ -717,6 +768,27 @@ class TestDeterminism:
             check(m, n, t, budget=budget)
         assert roots_alone > 0
         assert tripped_runs == 4
+
+    def test_candidates_skipped_where_no_row_meets_the_deficit(self, monkeypatch):
+        # a node whose column deficit no next row can reach returns before
+        # it refines its intervals and calls candidates(), so most nodes of
+        # these trees never call it.  Pinned: dropping that exit moves them
+        original = _Worker.candidates
+        calls = 0
+
+        def counted(worker, *args):
+            nonlocal calls
+            calls += 1
+            return original(worker, *args)
+
+        monkeypatch.setattr(_Worker, "candidates", counted)
+        cases = ((8, 19, 4, 1896, 495), (8, 20, 4, 643, 203), (6, 23, 4, 644, 106),
+                 (6, 40, 5, 14433, 930))
+        for m, n, t, nodes, candidate_calls in cases:
+            calls = 0
+            out = arrows(ArrowingInstance(m, n, t))
+            assert (out.verdict, out.stats.nodes, calls) == (ARROWS, nodes, candidate_calls), (
+                m, n, t)
 
 
 class TestAblation:
