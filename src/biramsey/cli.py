@@ -132,32 +132,34 @@ def _cmd_verify(args) -> int:
     try:
         with open(args.witness, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except UnicodeDecodeError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 1
-    try:
         cert = parse_witness(text)
-    except WitnessParseError as exc:
+    except (UnicodeDecodeError, WitnessParseError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
     _print_report(cert)
     return 0 if cert.valid else 2
 
 
+def _write_witness(path: str, cert) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(serialize_witness(cert))
+
+
+# the bundled colorings ``fixtures emit`` writes by name, with their t
+_FIXTURES = {"witness_6x39": (witness_6x39, 5), "witness_8x29": (witness_8x29, 5)}
+
+
 def _cmd_fixtures_emit(args) -> int:
-    if args.name == "witness_6x39":
-        graph, t = witness_6x39(), 5
-    elif args.name == "witness_8x29":
-        graph, t = witness_8x29(), 5
+    if args.name in _FIXTURES:
+        make, t = _FIXTURES[args.name]
+        graph = make()
     else:
         missing = [flag for flag, v in (("-m", args.m), ("-n", args.n), ("-t", args.t)) if v is None]
         if missing:
             print(f"error: star needs {' '.join(missing)}", file=sys.stderr)
             return 2
         graph, t = star_witness(args.m, args.n), args.t
-    cert = verify_good_coloring(graph, t)
-    with open(args.path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(serialize_witness(cert))
+    _write_witness(args.path, verify_good_coloring(graph, t))
     print(f"wrote {args.name} ({graph.m}x{graph.n}, t={t}) to {args.path}")
     return 0
 
@@ -206,8 +208,7 @@ def _cmd_arrows(args) -> int:
     )
     print("prunes: " + " ".join(f"{rule}={st.prunes.get(rule, 0)}" for rule in PRUNE_RULES))
     if outcome.verdict == NOT_ARROWS and args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(serialize_witness(outcome.certificate))
+        _write_witness(args.output, outcome.certificate)
         print(f"witness written to {args.output}")
     if outcome.verdict == ARROWS:
         return 0
@@ -272,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fixtures = sub.add_parser("fixtures", help="bundled witness fixtures")
     fixtures_sub = p_fixtures.add_subparsers(dest="fixtures_command", required=True)
     p_emit = fixtures_sub.add_parser("emit", help="write a fixture in the witness format")
-    p_emit.add_argument("name", choices=("witness_6x39", "witness_8x29", "star"))
+    p_emit.add_argument("name", choices=(*_FIXTURES, "star"))
     p_emit.add_argument("path")
     p_emit.add_argument("-m", type=int, default=None, help="rows (star only)")
     p_emit.add_argument("-n", type=int, default=None, help="columns (star only)")

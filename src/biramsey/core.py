@@ -13,7 +13,7 @@ to 1-based labels at the boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress, count
 from math import comb
 from typing import Iterable
 
@@ -33,13 +33,14 @@ def mask_from_columns(columns: Iterable[int], n: int) -> int:
 
 
 def columns_from_mask(mask: int) -> tuple[int, ...]:
-    """Unpack a bitmask into an ascending tuple of column indices."""
-    cols = []
-    while mask:
-        low = mask & -mask
-        cols.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(cols)
+    """Unpack a non-negative bitmask into an ascending tuple of column indices.
+
+    One linear pass over the binary digits, lowest first: peeling one bit at
+    a time would copy the whole int per column, quadratic on wide masks.
+    """
+    # the digits as bytes, each 0 a false selector and each 1 a true one
+    digits = bin(mask)[:1:-1].replace("0", "\0").encode()
+    return tuple(compress(count(), digits))
 
 
 @dataclass(frozen=True)

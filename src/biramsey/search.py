@@ -22,13 +22,17 @@ most one column.  It is kept so ``disabled_rules`` and ``--no-prune`` accept
 it; its prune count is always 0.
 
 The search is one serial depth-first pass from the root.  Its state is the
-argument list of ``_Worker._dfs``, three immutable tuples: the assigned
-rows, the runs of interchangeable columns (with the rows incident to each),
-and the column unions of the j-subsets of rows for j < t.  A node receives
-its parent's runs and unions; a leaf only verifies itself.  An inner node
-extends the unions by its own last row, returns at once when no next row
-can meet the column deficit below, and only then refines the runs by that
-row.  Nothing is restored on return.
+argument list of ``_Worker._dfs``: three immutable tuples, the assigned
+rows, the runs of interchangeable columns (with the rows incident to each)
+and the column unions of the j-subsets of rows for j < t, plus the next
+row's degree limit.  The root's limit is the degree cap (n with degree-cap
+off); a parent passes each child the child's own row degree under
+canonical-order, else its own limit.  That is exact: under canonical-order
+each row's degree is at most the first row's, itself at most the cap.  A
+node receives its parent's runs and unions; a leaf only verifies itself.
+An inner node extends the unions by its own last row, returns at once when
+no next row can meet the column deficit below, and only then refines the
+runs by that row.  Nothing is restored on return.
 
 Rows that cannot pass the deficit or the floor are never built.  Let
 ``tight`` be a union of t-1 assigned rows with the fewest columns: a row
@@ -141,7 +145,8 @@ class SearchStats:
     each rule to its count: ``coverage`` is the tried rows a final union
     rejects; ``canonical-order`` is the rows of the last row's degree that
     sort above it, among the rows that meet the column deficit;
-    ``degree-cap`` is the inner nodes whose degree limit the cap lowered;
+    ``degree-cap`` is the inner nodes whose degree limit the cap lowered:
+    the root under canonical-order, and every inner node without it;
     ``pair-budget`` is always 0.  ``elapsed`` is wall seconds.
     """
 
@@ -254,13 +259,15 @@ class _BudgetExceeded(Exception):
 class _Worker:
     """One deterministic depth-first search.  The search position is the
     arguments of ``_dfs``, the immutable ``rows``, ``intervals`` and
-    ``unions`` (see the module docstring); the worker holds only the
-    instance, the rule toggles, the budgets and the counts."""
+    ``unions`` and the ``limit`` the parent passes (see the module
+    docstring); the worker holds only the instance, the root's degree
+    limit, the rule toggles, the budgets and the counts."""
 
     def __init__(self, inst: ArrowingInstance, cfg: SearchConfig):
         self.m, self.n, self.t = inst.m, inst.n, inst.t
-        self.cap = degree_cap(inst.m, inst.n, inst.t)
-        self.cap_on = cfg.enabled(RULE_DEGREE_CAP)
+        self.root_limit = (
+            degree_cap(inst.m, inst.n, inst.t) if cfg.enabled(RULE_DEGREE_CAP) else inst.n
+        )
         # with m < t no t-subset of rows exists, so coverage can never prune
         self.coverage_on = cfg.enabled(RULE_COVERAGE) and inst.m >= inst.t
         self.canonical_on = cfg.enabled(RULE_CANONICAL)
@@ -284,16 +291,7 @@ class _Worker:
         # unions[j] holds the column unions of all j-subsets of assigned rows;
         # extended only while coverage is on, the only rule that reads them
         unions: tuple[tuple[int, ...], ...] = ((0,),) + ((),) * (self.t - 1)
-        return self._dfs((), intervals, unions, *self._limit(self.n))
-
-    def _limit(self, degree: int) -> tuple[int, bool]:
-        """The degree limit of the row after one of ``degree`` (n at the root):
-        that degree under canonical-order, else n, lowered to the degree cap;
-        and whether the cap lowered it."""
-        limit = degree if self.canonical_on else self.n
-        if self.cap_on and self.cap < limit:
-            return self.cap, True
-        return limit, False
+        return self._dfs((), intervals, unions, self.root_limit)
 
     def _floor(self, rows: tuple[int, ...], limit: int) -> int:
         """The lowest degree of a row after ``rows`` whose child passes the
@@ -335,12 +333,12 @@ class _Worker:
         floor: int,
         tight: int,
         need: int,
-    ) -> tuple[list[list[int]], int]:
+    ) -> list[list[int]]:
         """Extendable row masks after ``rows`` of degree ``floor`` to ``limit``
         with at least ``need`` columns outside ``tight``, in one bucket per
         degree (``by_deg[d]`` for d = 0..limit, empty below the floor), each
-        column-lex-descending; and the number of canonical-order prunes among
-        the rows that meet the deficit.
+        column-lex-descending.  Adds its canonical-order prunes, counted
+        among the rows that meet the deficit, to ``self.prunes``.
 
         No sort is needed: within one degree no candidate extends another, so
         emitting each subset after its extensions, taken in increasing column
@@ -415,7 +413,8 @@ class _Worker:
                 by_deg[odeg + k].append(omask | (((1 << k) - 1) << u))
 
         rec(0, 0, 0, 0, 0)
-        return by_deg, tied
+        self.prunes[RULE_CANONICAL] += tied
+        return by_deg
 
     def _dfs(
         self,
@@ -423,14 +422,15 @@ class _Worker:
         intervals: tuple[tuple[int, int, int], ...],
         unions: tuple[tuple[int, ...], ...],
         limit: int,
-        capped: bool,
     ) -> WitnessCertificate | None:
         """The certificate of the first good coloring at or below this node, or None.
 
         ``intervals`` and ``unions`` describe ``rows[:-1]``, the parent's
         rows; the node refines them by its own row.  ``limit`` is the next
-        row's degree limit and ``capped`` whether the degree cap lowered it
-        (``_limit``).  Every entry is a node, the root too: it checks the
+        row's degree limit, which the parent passes (see the module
+        docstring); a limit below n is the degree cap's, and counted as its
+        prune, except where canonical-order set it to the node's own row
+        degree.  Every entry is a node, the root too: it checks the
         node budget and the deadline, once, before it counts itself, and a
         leaf returns its certificate when it is a good coloring.  An inner
         node returns with no child to try when its floor is above its limit,
@@ -447,7 +447,7 @@ class _Worker:
         if len(rows) == m:
             cert = verify_good_coloring(BipartiteGraph(m, n, rows), t)
             return cert if cert.valid else None
-        if capped:
+        if limit < n and not (rows and self.canonical_on):
             self.prunes[RULE_DEGREE_CAP] += 1
         coverage_on = self.coverage_on
         floor = self._floor(rows, limit) if coverage_on else 0
@@ -489,21 +489,17 @@ class _Worker:
                     refined.append((start + c, length - c, incidence))
             intervals = tuple(refined)
 
-        by_deg, tied = self.candidates(rows, intervals, limit, floor, tight, need)
-        self.prunes[RULE_CANONICAL] += tied
+        by_deg = self.candidates(rows, intervals, limit, floor, tight, need)
         for degree in range(limit, floor - 1, -1):
-            bucket = by_deg[degree]
-            if not bucket:
-                continue
-            child_limit, child_capped = self._limit(degree)
-            for mask in bucket:
+            child_limit = degree if self.canonical_on else limit
+            for mask in by_deg[degree]:
                 self.attempts += 1
                 for uv in finals:
                     if (uv | mask).bit_count() <= uncovered_limit:
                         self.prunes[RULE_COVERAGE] += 1
                         break
                 else:
-                    found = self._dfs(rows + (mask,), intervals, unions, child_limit, child_capped)
+                    found = self._dfs(rows + (mask,), intervals, unions, child_limit)
                     if found is not None:
                         return found
         return None
@@ -539,21 +535,15 @@ def arrows(
             return SearchOutcome(NOT_ARROWS, stats, cert)
 
     worker = _Worker(inst, cfg)
-    found = None
-    budget_hit = False
     try:
         found = worker.run()
+        verdict = ARROWS if found is None else NOT_ARROWS
     except _BudgetExceeded:
-        budget_hit = True
+        found, verdict = None, BUDGET_EXHAUSTED
 
     elapsed = time.perf_counter() - start
     stats = SearchStats(worker.nodes, worker.attempts, worker.prunes, elapsed)
-
-    if found is not None:
-        return SearchOutcome(NOT_ARROWS, stats, found)
-    if budget_hit:
-        return SearchOutcome(BUDGET_EXHAUSTED, stats)
-    return SearchOutcome(ARROWS, stats)
+    return SearchOutcome(verdict, stats, found)
 
 
 def find_br_m(

@@ -12,6 +12,7 @@ from biramsey.core import (
     BicliqueSpec,
     BipartiteGraph,
     UsageError,
+    columns_from_mask,
     complement,
     contains_biclique,
     degree,
@@ -40,6 +41,15 @@ def graphs(draw, max_m=6, max_n=8):
     n = draw(st.integers(1, max_n))
     masks = tuple(draw(st.integers(0, (1 << n) - 1)) for _ in range(m))
     return BipartiteGraph(m, n, masks)
+
+
+class TestColumnsFromMask:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, (1 << 300) - 1))
+    def test_matches_bit_tests(self, mask):
+        # the engine-free unpack: test every bit below the top one
+        want = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+        assert columns_from_mask(mask) == want
 
 
 class TestConstruction:

@@ -118,7 +118,6 @@ class TestMixedCoverageBound:
         def child_passes(d):
             child = degrees + [d]
             child_limit = min(d if canonical else n, cap)
-            assert worker._limit(d) == (child_limit, child_limit < (d if canonical else n))
             future = m - len(child)
             return all(
                 sum(subset) + (t - j) * child_limit > n - t
@@ -624,9 +623,10 @@ class TestDeterminism:
             nonlocal checked, unbuilt, at_need, over_limit, below_floor
             checked += 1
             n, t, canonical = worker.n, worker.t, worker.canonical_on
-            # the limit: the degree cap, and the last row's degree when rows
-            # are generated in canonical order
-            want_limit = degree_cap(worker.m, n, t) if worker.cap_on else n
+            # the limit: the degree cap when ``cfg``, the config the loops
+            # below run, has it on, and the last row's degree when rows are
+            # generated in canonical order
+            want_limit = degree_cap(worker.m, n, t) if cfg.enabled(RULE_DEGREE_CAP) else n
             if canonical and rows:
                 want_limit = min(want_limit, rows[-1].bit_count())
             assert limit == want_limit, rows
@@ -647,7 +647,9 @@ class TestDeterminism:
             assert 0 <= floor <= limit, rows
             assert worker.coverage_on or floor == 0, rows
 
-            out, tied = original(worker, rows, intervals, limit, floor, tight, need)
+            before = worker.prunes[RULE_CANONICAL]
+            out = original(worker, rows, intervals, limit, floor, tight, need)
+            tied = worker.prunes[RULE_CANONICAL] - before
 
             intervals = [(0, n)]
             for row in rows if canonical else ():
@@ -676,7 +678,7 @@ class TestDeterminism:
             assert not any(out[:floor]), rows
             assert [mask for bucket in reversed(out) for mask in bucket] == expected, rows
             assert tied == above, rows
-            return out, tied
+            return out
 
         monkeypatch.setattr(_Worker, "candidates", checked_candidates)
         configs = [SearchConfig()] + [

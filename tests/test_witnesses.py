@@ -1,12 +1,14 @@
 """Fixture contents, good-coloring verification, witness file format."""
 
 import random
+import time
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biramsey.cli import main
 from biramsey.core import (
     BicliqueSpec,
     BipartiteGraph,
@@ -141,6 +143,19 @@ class TestVerifyGoodColoring:
     def test_t_must_be_positive(self):
         with pytest.raises(UsageError):
             verify_good_coloring(witness_6x39(), 0)
+
+    def test_wide_empty_row_reported_in_linear_time(self, tmp_path, capsys):
+        # the complement violation is the first column of a million-column
+        # row: naming it may not take time quadratic in the row's width
+        path = tmp_path / "wide.txt"
+        path.write_text("biramsey-witness v1\nm=1 n=1000000 t=1\n1:\n")
+        start = time.perf_counter()
+        code = main(["verify", str(path)])
+        elapsed = time.perf_counter() - start
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "K_{1,1} found in the complement: rows 1 columns 1\n" in out
+        assert elapsed < 10, elapsed
 
 
 def _union(g, subset):
