@@ -25,12 +25,12 @@ import os
 import stat
 import tempfile
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress, count
 from math import comb
 from operator import add
 from typing import Iterator, Sequence
 
-from .core import BipartiteGraph, UsageError
+from .core import BipartiteGraph, UsageError, columns_from_mask
 from .search import ArrowingInstance
 from .witnesses import WitnessCertificate, verify_good_coloring
 
@@ -174,26 +174,26 @@ def model_from_graph(cnf: CnfInstance, g: BipartiteGraph) -> tuple[bool, ...]:
     """Assignment (index k = variable k+1) with v(i,j) true iff edge present."""
     if g.m != cnf.m or g.n != cnf.n:
         raise UsageError(f"graph is {g.m}x{g.n}, formula is {cnf.m}x{cnf.n}")
-    model = []
-    for mask in g.row_masks:
-        model.extend(bool(mask >> j & 1) for j in range(cnf.n))
+    model = [False] * cnf.num_vars
+    for i, mask in enumerate(g.row_masks):
+        for j in columns_from_mask(mask):
+            model[i * cnf.n + j] = True
     return tuple(model)
 
 
 def graph_from_model(cnf: CnfInstance, model: Sequence[bool]) -> BipartiteGraph:
+    """The graph whose edge (i, j) is present iff variable v(i,j) is true.
+
+    The inverse of ``model_from_graph``; any truthy entry counts as true.
+    """
     if len(model) != cnf.num_vars:
         raise UsageError(
             f"model assigns {len(model)} variables, formula has {cnf.num_vars}"
         )
     n = cnf.n
-    masks = []
-    for i in range(cnf.m):
-        mask = 0
-        for j in range(n):
-            if model[i * n + j]:
-                mask |= 1 << j
-        masks.append(mask)
-    return BipartiteGraph(cnf.m, n, tuple(masks))
+    return BipartiteGraph.from_rows(
+        cnf.m, n, (compress(count(), model[i * n : (i + 1) * n]) for i in range(cnf.m))
+    )
 
 
 def satisfies(cnf: CnfInstance, model: Sequence[bool]) -> bool:

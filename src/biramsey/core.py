@@ -7,7 +7,8 @@ biclique containment) reduces to AND/OR/popcount on those masks, which keeps
 the operations exact at any width Python ints support.
 
 All indices are 0-based here; the witness file format and the CLI translate
-to 1-based labels at the boundary.
+to 1-based labels at the boundary.  Rows are packed into masks and unpacked
+into columns only here, by ``mask_from_columns`` and ``columns_from_mask``.
 """
 
 from __future__ import annotations
@@ -23,13 +24,18 @@ class UsageError(ValueError):
 
 
 def mask_from_columns(columns: Iterable[int], n: int) -> int:
-    """Pack a set of column indices (each < n) into a bitmask."""
-    mask = 0
+    """Pack a set of column indices (each < n) into a bitmask.
+
+    Each column sets one bit of a byte buffer, read as an int once at the
+    end: OR-ing each bit into the int would copy it per column, quadratic
+    on wide rows.
+    """
+    buf = bytearray((max(n, 0) + 7) >> 3)
     for c in columns:
         if not 0 <= c < n:
             raise UsageError(f"column {c} out of range for n={n}")
-        mask |= 1 << c
-    return mask
+        buf[c >> 3] |= 1 << (c & 7)
+    return int.from_bytes(buf, "little")
 
 
 def columns_from_mask(mask: int) -> tuple[int, ...]:
@@ -146,14 +152,11 @@ def is_c4_free(g: BipartiteGraph) -> bool:
 
 def transpose(g: BipartiteGraph) -> BipartiteGraph:
     """Swap the two sides: column j of the result holds the rows adjacent to j."""
-    col_masks = [0] * g.n
+    columns: list[list[int]] = [[] for _ in range(g.n)]
     for i, mask in enumerate(g.row_masks):
-        bit = 1 << i
-        while mask:
-            low = mask & -mask
-            col_masks[low.bit_length() - 1] |= bit
-            mask ^= low
-    return BipartiteGraph(g.n, g.m, tuple(col_masks))
+        for j in columns_from_mask(mask):
+            columns[j].append(i)
+    return BipartiteGraph.from_rows(g.n, g.m, columns)
 
 
 def complement(g: BipartiteGraph) -> BipartiteGraph:

@@ -111,6 +111,9 @@ class SearchConfig:
     that many nodes.
     ``threads`` is validated but does not change the search, which always
     runs serially; it is reserved for a later parallel backend.
+    With canonical-order disabled, a node builds all of its rows before it
+    tries its first child, and neither budget bounds the time or memory of
+    that step (6x39 at t=5 builds C(39, 9) rows at the root).
     """
 
     node_budget: int | None = None  # max search nodes expanded, total

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import BipartiteGraph, UsageError, columns_from_mask, max_row_degree
+from .core import BipartiteGraph, UsageError, columns_from_mask, mask_from_columns, max_row_degree
 
 WITNESS_FORMAT_HEADER = "biramsey-witness v1"
 
@@ -174,8 +174,8 @@ def serialize_witness(cert: WitnessCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-_PARAM_RE = re.compile(r"^m=(\d+) n=(\d+) t=(\d+)$")
-_ROW_RE = re.compile(r"^(\d+):(.*)$")
+_PARAM_RE = re.compile(r"^m=(\d+) n=(\d+) t=(\d+)$", re.ASCII)
+_ROW_RE = re.compile(r"^(\d+):(.*)$", re.ASCII)
 
 
 def parse_witness(text: str) -> WitnessCertificate:
@@ -202,19 +202,20 @@ def parse_witness(text: str) -> WitnessCertificate:
             raise WitnessParseError(lineno, f"expected '{i + 1}: <columns>'")
         if int(row.group(1)) != i + 1:
             raise WitnessParseError(lineno, f"expected row index {i + 1}, got {row.group(1)}")
-        mask = 0
+        columns = set()
         for token in row.group(2).split():
             try:
+                if not (token.isascii() and token.isdigit()):  # int() takes "+3", "1_0"
+                    raise ValueError
                 label = int(token)
             except ValueError:
                 raise WitnessParseError(lineno, f"bad column label {token!r}") from None
             if not 1 <= label <= n:
                 raise WitnessParseError(lineno, f"column label {label} out of range 1..{n}")
-            bit = 1 << (label - 1)
-            if mask & bit:
+            if label - 1 in columns:
                 raise WitnessParseError(lineno, f"duplicate column {label} in row {i + 1}")
-            mask |= bit
-        masks.append(mask)
+            columns.add(label - 1)
+        masks.append(mask_from_columns(columns, n))
 
     for extra, line in enumerate(lines[m + 2 :], start=m + 3):
         if line and not line.startswith("#"):

@@ -5,6 +5,7 @@ import io
 import os
 import stat
 import threading
+import time
 from math import comb
 
 import pytest
@@ -236,6 +237,29 @@ class TestModels:
         cnf = encode_cnf(ArrowingInstance(2, 3, 2))
         g = BipartiteGraph.from_rows(2, 3, [[0, 2], [1]])
         assert graph_from_model(cnf, model_from_graph(cnf, g)) == g
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_model_matches_cells(self, data):
+        m = data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(1, 12))
+        masks = tuple(data.draw(st.integers(0, (1 << n) - 1)) for _ in range(m))
+        g = BipartiteGraph(m, n, masks)
+        cnf = CnfInstance(m, n, 1)
+        model = model_from_graph(cnf, g)
+        # variable v(i,j) = i*n + j + 1 sits at index i*n + j
+        assert model == tuple(bool(mask >> j & 1) for mask in masks for j in range(n))
+        assert graph_from_model(cnf, model) == g
+
+    def test_wide_model_roundtrip_in_linear_time(self):
+        cnf = CnfInstance(1, 1_000_000, 1)
+        start = time.perf_counter()
+        model = model_from_graph(cnf, BipartiteGraph.complete(1, 1_000_000))
+        cert = decode_model(cnf, model, strict=True)
+        elapsed = time.perf_counter() - start
+        assert model == (True,) * 1_000_000
+        assert cert.valid and cert.graph.row_masks == ((1 << 1_000_000) - 1,)
+        assert elapsed < 10, elapsed
 
     def test_all_false_model_decodes_invalid(self):
         cnf = encode_cnf(ArrowingInstance(5, 6, 5))

@@ -19,6 +19,7 @@ from biramsey.core import (
     find_biclique,
     induced_rows,
     is_c4_free,
+    mask_from_columns,
     max_row_degree,
     pair_budget,
     row_intersection_size,
@@ -50,6 +51,31 @@ class TestColumnsFromMask:
         # the engine-free unpack: test every bit below the top one
         want = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
         assert columns_from_mask(mask) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_pack_matches_bit_sum(self, data):
+        n = data.draw(st.integers(1, 300))
+        cols = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+        mask = mask_from_columns(cols, n)
+        # the engine-free pack: one power of two per distinct column
+        assert mask == sum(1 << c for c in set(cols))
+        assert columns_from_mask(mask) == tuple(sorted(set(cols)))
+
+    @pytest.mark.parametrize("n", [1, 8, 9, 300])
+    def test_pack_rejects_columns_out_of_range(self, n):
+        for c in (-1, n):
+            with pytest.raises(UsageError):
+                mask_from_columns([0, c], n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(max_m=12, max_n=12))
+    def test_transpose_matches_cells(self, g):
+        h = transpose(g)
+        assert (h.m, h.n) == (g.n, g.m)
+        for i in range(g.m):
+            for j in range(g.n):
+                assert h.row_masks[j] >> i & 1 == g.row_masks[i] >> j & 1
 
 
 class TestConstruction:

@@ -144,17 +144,27 @@ class TestVerifyGoodColoring:
         with pytest.raises(UsageError):
             verify_good_coloring(witness_6x39(), 0)
 
-    def test_wide_empty_row_reported_in_linear_time(self, tmp_path, capsys):
-        # the complement violation is the first column of a million-column
-        # row: naming it may not take time quadratic in the row's width
+    @pytest.mark.parametrize(
+        "row, code, expected",
+        [
+            ("", 2, "K_{1,1} found in the complement: rows 1 columns 1\n"),
+            (" " + " ".join(map(str, range(1, 1_000_001))), 0, "verdict: VALID\n"),
+        ],
+        ids=["empty", "full"],
+    )
+    def test_wide_empty_row_reported_in_linear_time(
+        self, tmp_path, capsys, row, code, expected
+    ):
+        # a million-column row: reading it, or naming the first column its
+        # complement holds, may not take time quadratic in the row's width
         path = tmp_path / "wide.txt"
-        path.write_text("biramsey-witness v1\nm=1 n=1000000 t=1\n1:\n")
+        path.write_text(f"biramsey-witness v1\nm=1 n=1000000 t=1\n1:{row}\n")
         start = time.perf_counter()
-        code = main(["verify", str(path)])
+        got = main(["verify", str(path)])
         elapsed = time.perf_counter() - start
         out = capsys.readouterr().out
-        assert code == 2
-        assert "K_{1,1} found in the complement: rows 1 columns 1\n" in out
+        assert got == code
+        assert expected in out
         assert elapsed < 10, elapsed
 
 
@@ -251,9 +261,27 @@ class TestParseErrors:
             parse_witness("biramsey-witness v1\nm=1 n=2 t=1\n1: 1\ngarbage\n")
         assert err.value.line == 4
 
-    def test_non_integer_label(self):
-        with pytest.raises(WitnessParseError):
-            parse_witness("biramsey-witness v1\nm=1 n=2 t=1\n1: x\n")
+    # int() alone would read "1_0" as 10 and "+3" or the Arabic-Indic "٣" as 3
+    @pytest.mark.parametrize("token", ["x", "1_0", "+3", "\u0663"])
+    def test_non_integer_label(self, token):
+        with pytest.raises(WitnessParseError) as err:
+            parse_witness(f"biramsey-witness v1\nm=1 n=20 t=1\n1: {token}\n")
+        assert err.value.line == 3
+        assert "bad column label" in str(err.value)
+
+    def test_leading_zeros_accepted(self):
+        text = "biramsey-witness v1\nm=1 n=5 t=1\n1: 03\n"
+        assert parse_witness(text).graph.row_masks == (0b100,)
+
+    def test_non_ascii_row_index(self):
+        with pytest.raises(WitnessParseError) as err:
+            parse_witness("biramsey-witness v1\nm=1 n=2 t=1\n\u0661: 1\n")
+        assert err.value.line == 3
+
+    def test_non_ascii_parameter(self):
+        with pytest.raises(WitnessParseError) as err:
+            parse_witness("biramsey-witness v1\nm=\u0662 n=2 t=1\n1: 1\n2: 2\n")
+        assert err.value.line == 2
 
 
 class TestKnownValueRecord:
