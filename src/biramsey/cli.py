@@ -160,7 +160,8 @@ def _cmd_fixtures_emit(args) -> int:
             return 2
         graph, t = star_witness(args.m, args.n), args.t
     _write_witness(args.path, verify_good_coloring(graph, t))
-    print(f"wrote {args.name} ({graph.m}x{graph.n}, t={t}) to {args.path}")
+    # on stderr: the target may be /dev/stdout
+    print(f"wrote {args.name} ({graph.m}x{graph.n}, t={t}) to {args.path}", file=sys.stderr)
     return 0
 
 
@@ -230,7 +231,8 @@ def _cmd_brfind(args) -> int:
 def _cmd_export_cnf(args) -> int:
     cnf = encode_cnf(ArrowingInstance(args.m, args.n, args.t))
     write_dimacs(cnf, args.output)
-    print(f"wrote p cnf {cnf.num_vars} {cnf.num_clauses} to {args.output}")
+    # on stderr: the target may be /dev/stdout
+    print(f"wrote p cnf {cnf.num_vars} {cnf.num_clauses} to {args.output}", file=sys.stderr)
     return 0
 
 

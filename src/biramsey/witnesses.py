@@ -188,7 +188,10 @@ def parse_witness(text: str) -> WitnessCertificate:
     params = _PARAM_RE.match(lines[1])
     if params is None:
         raise WitnessParseError(2, "expected 'm=<int> n=<int> t=<int>'")
-    m, n, t = (int(x) for x in params.groups())
+    try:
+        m, n, t = (int(x) for x in params.groups())
+    except ValueError:  # more digits than int() converts
+        raise WitnessParseError(2, "parameter has too many digits") from None
     if m < 1 or n < 1 or t < 1:
         raise WitnessParseError(2, f"parameters must be >= 1, got m={m} n={n} t={t}")
 
@@ -200,7 +203,7 @@ def parse_witness(text: str) -> WitnessCertificate:
         row = _ROW_RE.match(lines[lineno - 1])
         if row is None:
             raise WitnessParseError(lineno, f"expected '{i + 1}: <columns>'")
-        if int(row.group(1)) != i + 1:
+        if row.group(1).lstrip("0") != str(i + 1):  # int() fails on 4,300+ digits
             raise WitnessParseError(lineno, f"expected row index {i + 1}, got {row.group(1)}")
         columns = set()
         for token in row.group(2).split():

@@ -6,7 +6,7 @@ Run with ``pytest -v -s tests/test_acceptance.py`` to see the lines.
 import hashlib
 import time
 from contextlib import contextmanager
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -201,11 +201,12 @@ def test_criterion_7_declared_substitutes(capsys):
         assert cnf.num_clauses == 21 * 435 + 21 * 142506
         h = hashlib.sha256()
         count = size = 0
-        for line in cnf.dimacs_lines():
-            data = line.encode("ascii") + b"\n"
+        lines = cnf.dimacs_lines()
+        while chunk := list(islice(lines, 4096)):
+            data = ("\n".join(chunk) + "\n").encode("ascii")
             h.update(data)
             size += len(data)
-            count += 1
+            count += len(chunk)
         assert count == cnf.num_clauses + 1
         assert size == 266_953_428
         assert h.hexdigest() == (

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, report text, witness files, DIMACS export, table."""
 
+import hashlib
 import os
 import re
 import signal
@@ -22,6 +23,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _subprocess_env():
+    """The environment for ``python -m biramsey.cli``, with this checkout's src first."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 class TestVerify:
@@ -89,12 +97,35 @@ class TestVerify:
         assert code == 1
         assert err.startswith("parse error: ")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("biramsey-witness v1\nm=1 n=2 t=1\n1" + "0" * 4400 + ": 1\n", 3),
+            ("biramsey-witness v1\nm=1 n=1" + "0" * 4400 + " t=1\n1: 1\n", 2),
+        ],
+        ids=["row-index", "parameter"],
+    )
+    def test_overlong_number_is_a_parse_error(self, tmp_path, capsys, text, line):
+        path = tmp_path / "long.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"parse error: line {line}: ")
+
     def test_missing_file_exit_1(self, capsys):
         code, _, err = run(capsys, "verify", "/nonexistent/path.txt")
         assert code == 1
 
 
 class TestFixturesEmit:
+    def test_stdout_target_carries_the_witness_alone(self, capfd):
+        # capfd: the witness is written to file descriptor 1, not sys.stdout
+        code, out, err = run(capfd, "fixtures", "emit", "witness_6x39", "/dev/stdout")
+        assert code == 0
+        assert parse_witness(out).valid
+        assert err == "wrote witness_6x39 (6x39, t=5) to /dev/stdout\n"
+
     def test_star_requires_parameters(self, tmp_path, capsys):
         code, _, err = run(capsys, "fixtures", "emit", "star", str(tmp_path / "s.txt"))
         assert code == 2
@@ -217,13 +248,29 @@ class TestBrfind:
 class TestExportCnf:
     def test_small_export(self, tmp_path, capsys):
         path = tmp_path / "inst.cnf"
-        code, out, _ = run(
+        code, out, err = run(
             capsys, "export-cnf", "-m", "3", "-n", "3", "-t", "2", "-o", str(path)
         )
         assert code == 0
         text = path.read_text()
         assert text.startswith("p cnf 9 18\n")
-        assert "wrote p cnf 9 18" in out
+        assert out == ""
+        assert "wrote p cnf 9 18" in err
+
+    def test_stdout_target_carries_the_formula_alone(self):
+        # the status line goes to stderr, so the piped bytes are the formula
+        # pinned in tests/test_cnf.py and bench/golden.json
+        proc = subprocess.run(
+            [sys.executable, "-m", "biramsey.cli", "export-cnf",
+             "-m", "7", "-n", "8", "-t", "3", "-o", "/dev/stdout"],
+            env=_subprocess_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            check=True,
+        )
+        assert (
+            hashlib.sha256(proc.stdout).hexdigest()
+            == "913eb0c1b99f651daefa4f9c9a44077c63392baad1d3ed1fecf2418a8e55a317"
+        )
+        assert proc.stderr == b"wrote p cnf 56 2548 to /dev/stdout\n"
 
     def test_directory_target_fails_at_once(self, tmp_path, capsys):
         # checked before the export starts, which writes <target>.part
@@ -258,13 +305,10 @@ class TestExportCnf:
         # the target as it was, with no temporary file beside it
         target = tmp_path / "inst.cnf"
         target.write_bytes(b"p cnf 1 1\n1 0\n")
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        env = dict(os.environ, PYTHONPATH=path)
         proc = subprocess.Popen(
             [sys.executable, "-m", "biramsey.cli", "export-cnf",
              "-m", "7", "-n", "30", "-t", "5", "-o", str(target)],
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            env=_subprocess_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
         try:
             deadline = time.monotonic() + 60

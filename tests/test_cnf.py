@@ -212,16 +212,26 @@ class TestWriteTargets:
 
 
 class TestClauseOracle:
+    @staticmethod
+    def check(m, n, t):
+        cnf = CnfInstance(m, n, t)
+        expected = clauses_from_definition(m, n, t)
+        assert list(cnf.clauses()) == expected, (m, n, t)
+        lines = list(cnf.dimacs_lines())
+        assert lines[0] == f"p cnf {m * n} {len(expected)}", (m, n, t)
+        assert lines[1:] == [
+            " ".join(str(lit) for lit in clause) + " 0" for clause in expected
+        ], (m, n, t)
+
     def test_clauses_match_definition(self):
         for m, n, t in SMALL_INSTANCES:
-            cnf = CnfInstance(m, n, t)
-            expected = clauses_from_definition(m, n, t)
-            assert list(cnf.clauses()) == expected, (m, n, t)
-            lines = list(cnf.dimacs_lines())
-            assert lines[0] == f"p cnf {m * n} {len(expected)}", (m, n, t)
-            assert lines[1:] == [
-                " ".join(str(lit) for lit in clause) + " 0" for clause in expected
-            ], (m, n, t)
+            self.check(m, n, t)
+
+    # m > t and n >> t, so each row's part is a long stream of column subsets
+    # and every row subset mixes rows from both ends
+    @pytest.mark.parametrize("m, n, t", [(6, 8, 3), (5, 9, 4), (7, 9, 5)])
+    def test_wide_row_parts_match_definition(self, m, n, t):
+        self.check(m, n, t)
 
 
 class TestModels:

@@ -278,6 +278,27 @@ class TestParseErrors:
             parse_witness("biramsey-witness v1\nm=1 n=2 t=1\n\u0661: 1\n")
         assert err.value.line == 3
 
+    # int() refuses more than 4,300 digits (CPython's default limit)
+    def test_overlong_row_index(self):
+        with pytest.raises(WitnessParseError) as err:
+            parse_witness("biramsey-witness v1\nm=1 n=2 t=1\n1" + "0" * 4400 + ": 1\n")
+        assert err.value.line == 3
+        assert "expected row index 1" in str(err.value)
+
+    def test_row_index_leading_zeros_accepted(self):
+        text = "biramsey-witness v1\nm=1 n=2 t=1\n" + "0" * 4400 + "1: 2\n"
+        assert parse_witness(text).graph.row_masks == (0b10,)
+
+    @pytest.mark.parametrize("name", ["m", "n", "t"])
+    def test_overlong_parameter(self, name):
+        params = {"m": "1", "n": "2", "t": "1", name: "1" + "0" * 4400}
+        with pytest.raises(WitnessParseError) as err:
+            parse_witness(
+                "biramsey-witness v1\nm={m} n={n} t={t}\n1: 1\n".format(**params)
+            )
+        assert err.value.line == 2
+        assert "too many digits" in str(err.value)
+
     def test_non_ascii_parameter(self):
         with pytest.raises(WitnessParseError) as err:
             parse_witness("biramsey-witness v1\nm=\u0662 n=2 t=1\n1: 1\n2: 2\n")
