@@ -14,6 +14,8 @@ file cannot be read or written; ``arrows -o`` checks its path before the
 search, so that failure costs no search.
 SIGTERM ends a command as Ctrl-C would, running its clean-up (an interrupted
 ``export-cnf`` removes its temporary file), and exits 143 (128 + SIGTERM).
+A reader that closes the output pipe early (``| head -1``) ends a command
+quietly with exit 141 (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -329,10 +331,20 @@ def main(argv=None) -> int:
     # unwind on SIGTERM as on Ctrl-C, so clean-up code runs before the exit
     previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # inside the try: a reader that left early fails this flush too
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed the pipe, which is normal use; point stdout at
+        # the null device so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 128 + signal.SIGPIPE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

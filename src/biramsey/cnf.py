@@ -16,13 +16,16 @@ export.  Clause order is fixed (all no-K_{2,2} clauses lexicographic in
 (i, i', j, j'), then all covering clauses lexicographic in the subset pair),
 so DIMACS output is byte-identical across runs and platforms.
 
-Covering clauses are built from parts, one per row.  ``combinations`` over
-row i's n literals yields row i's part of every column t-subset C, in the
-lex order of C; the clause of (R, C) lists its literals row-major, so it is
-the concatenation of the C-th items of the parts of the rows in R.  Zipping
-the t parts of R therefore gives R's clauses in order, and the joins (tuple
-``add`` for ``clauses()``, ``str.join`` for ``dimacs_lines()``) run in C,
-with no Python code per literal.
+Both families are built one way, from parts, one per row.  A family takes
+s-subsets of rows and of columns (s = 2 over negated literals for
+no-K_{2,2}, s = t over positive ones for covering), and its clause for
+(R, C) lists the literals row-major.  ``combinations`` over row i's n
+literals yields row i's part of every column s-subset C, in the lex order
+of C, so the clause of (R, C) is the concatenation of the C-th items of the
+parts of the rows in R.  Zipping the s parts of R therefore gives R's
+clauses in order, and the joins (tuple ``add`` for ``clauses()``,
+``str.join`` for ``dimacs_lines()``) run in C, with no Python code per
+literal.
 """
 
 from __future__ import annotations
@@ -90,36 +93,34 @@ class CnfInstance:
     def clauses(self) -> Iterator[tuple[int, ...]]:
         """All clauses in the canonical order."""
         n = self.n
-        for i, i2 in combinations(range(self.m), 2):
-            bi, bi2 = i * n, i2 * n
-            for j, j2 in combinations(range(n), 2):
-                yield (-(bi + j + 1), -(bi + j2 + 1), -(bi2 + j + 1), -(bi2 + j2 + 1))
-        rows = [range(i * n + 1, (i + 1) * n + 1) for i in range(self.m)]
-        for parts in self._covering_parts(rows):
+        pos = [range(i * n + 1, (i + 1) * n + 1) for i in range(self.m)]
+        neg = [range(-i * n - 1, -(i + 1) * n - 1, -1) for i in range(self.m)]
+        for parts in self._parts(neg, pos):
             yield from _concat(parts)
 
     def dimacs_lines(self) -> Iterator[str]:
         """DIMACS text, line by line, without trailing newlines."""
         yield f"p cnf {self.num_vars} {self.num_clauses}"
         n = self.n
-        for i, i2 in combinations(range(self.m), 2):
-            bi, bi2 = i * n, i2 * n
-            for j, j2 in combinations(range(n), 2):
-                yield f"-{bi + j + 1} -{bi + j2 + 1} -{bi2 + j + 1} -{bi2 + j2 + 1} 0"
         # each literal carries its separator, so a line is the parts' text and "0"
-        rows = [[f"{v} " for v in range(i * n + 1, (i + 1) * n + 1)] for i in range(self.m)]
-        for parts in self._covering_parts(rows):
+        pos = [[f"{v} " for v in range(i * n + 1, (i + 1) * n + 1)] for i in range(self.m)]
+        neg = [[f"-{lit}" for lit in row] for row in pos]
+        for parts in self._parts(neg, pos):
             yield from map("".join, zip(*(map("".join, p) for p in parts), repeat("0")))
 
-    def _covering_parts(self, rows: Sequence[Sequence]) -> Iterator[list[Iterator[tuple]]]:
-        """For each row t-subset R in lex order, the parts of its rows.
+    def _parts(
+        self, neg: Sequence[Sequence], pos: Sequence[Sequence]
+    ) -> Iterator[list[Iterator[tuple]]]:
+        """For each clause family in order, each row subset's parts in lex order.
 
-        ``rows[i]`` lists row i's literals by column; zipping R's parts gives
-        R's covering clauses in order (see the module docstring).
+        ``neg[i]`` and ``pos[i]`` list row i's negated and positive literals
+        by column.  The no-K_{2,2} family takes 2-subsets of ``neg``, the
+        covering family t-subsets of ``pos``; zipping a subset's parts gives
+        its clauses in order (see the module docstring).
         """
-        t = self.t
-        for subset in combinations(range(self.m), t):
-            yield [combinations(rows[i], t) for i in subset]
+        for rows, s in ((neg, 2), (pos, self.t)):
+            for subset in combinations(range(self.m), s):
+                yield [combinations(rows[i], s) for i in subset]
 
 
 def _concat(parts: list[Iterator[tuple]]) -> Iterator[tuple]:
@@ -251,90 +252,79 @@ def decode_model(
 def dpll(num_vars: int, clause_list: Sequence[Sequence[int]]):
     """Naive deterministic DPLL: unit propagation plus lowest-variable branching.
 
-    Returns (True, model) for satisfiable input, (False, None) otherwise.
-    Usable only at toy scale; the interesting instances go to external
-    solvers through the DIMACS export.
+    Accepts any clause list, including clauses that repeat a literal or hold
+    both x and -x.  Branches on the lowest unassigned variable, True first,
+    and propagation only forces literals every model must have, so the model
+    returned is the lexicographically first (True before False).  Returns
+    (True, model) for satisfiable input, (False, None) otherwise.  Usable
+    only at toy scale; the interesting instances go to external solvers
+    through the DIMACS export.
     """
     clauses = [tuple(c) for c in clause_list]
-    occ_all: list[list[int]] = [[] for _ in range(num_vars + 1)]
-    occ_pos: list[list[int]] = [[] for _ in range(num_vars + 1)]
-    occ_neg: list[list[int]] = [[] for _ in range(num_vars + 1)]
-    for ci, clause in enumerate(clauses):
-        seen = set()
-        for lit in clause:
-            v = abs(lit)
-            if v < 1 or v > num_vars:
+    # indexed by literal (a negative literal -v lands at 2 * num_vars + 1 - v):
+    # value[lit] is None while unassigned, and falsified[lit] holds the
+    # clauses with -lit, the only ones making lit true can leave unit or false
+    value: list[bool | None] = [None] * (2 * num_vars + 1)
+    falsified: list[list[tuple[int, ...]]] = [[] for _ in value]
+    for clause in clauses:
+        for lit in set(clause):
+            if not 0 < abs(lit) <= num_vars:
                 raise UsageError(f"literal {lit} out of range for {num_vars} variables")
-            if v not in seen:
-                occ_all[v].append(ci)
-                seen.add(v)
-            (occ_pos if lit > 0 else occ_neg)[v].append(ci)
-
-    n_unassigned = [len({abs(lit) for lit in clause}) for clause in clauses]
-    n_sat = [0] * len(clauses)
-    assign: list[bool | None] = [None] * (num_vars + 1)
+            falsified[-lit].append(clause)
     trail: list[int] = []
 
-    def assign_lit(lit: int, unit_queue: list[int]) -> bool:
-        v = abs(lit)
-        val = lit > 0
-        if assign[v] is not None:
-            return assign[v] == val
-        assign[v] = val
-        trail.append(v)
-        for ci in occ_all[v]:
-            n_unassigned[ci] -= 1
-        for ci in (occ_pos if val else occ_neg)[v]:
-            n_sat[ci] += 1
-        for ci in (occ_neg if val else occ_pos)[v]:
-            if n_sat[ci] == 0:
-                if n_unassigned[ci] == 0:
-                    return False
-                if n_unassigned[ci] == 1:
-                    unit_queue.append(ci)
-        return True
+    def unit(clause) -> int | None:
+        """The one distinct free literal of an unsatisfied clause, 0 if none.
 
-    def propagate(unit_queue: list[int]) -> bool:
-        while unit_queue:
-            ci = unit_queue.pop()
-            if n_sat[ci] > 0:
-                continue
-            lit = next(l for l in clauses[ci] if assign[abs(l)] is None)
-            if not assign_lit(lit, unit_queue):
+        None when some literal is true or two distinct ones are free, so
+        x or -x is never a unit.
+        """
+        free = 0
+        for lit in clause:
+            x = value[lit]
+            if x:
+                return None
+            if x is None:
+                if free and free != lit:
+                    return None
+                free = lit
+        return free
+
+    def assign(queue: list[int]) -> bool:
+        """Make the queued literals true, with what they force; False on conflict."""
+        while queue:
+            lit = queue.pop()
+            if value[lit] is not None:
+                if value[lit]:
+                    continue
                 return False
+            value[lit], value[-lit] = True, False
+            trail.append(lit)
+            for clause in falsified[lit]:
+                forced = unit(clause)
+                if forced == 0:
+                    return False
+                if forced is not None:
+                    queue.append(forced)
         return True
 
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            v = trail.pop()
-            val = assign[v]
-            assign[v] = None
-            for ci in occ_all[v]:
-                n_unassigned[ci] += 1
-            for ci in (occ_pos if val else occ_neg)[v]:
-                n_sat[ci] -= 1
-
-    def solve() -> bool:
-        v = next((x for x in range(1, num_vars + 1) if assign[x] is None), None)
-        if v is None:
+    def solve(v: int) -> bool:
+        while v <= num_vars and value[v] is not None:
+            v += 1
+        if v > num_vars:
             return True
-        for val in (True, False):
-            mark = len(trail)
-            queue: list[int] = []
-            if assign_lit(v if val else -v, queue) and propagate(queue):
-                if solve():
-                    return True
-            undo(mark)
+        mark = len(trail)
+        for lit in (v, -v):
+            if assign([lit]) and solve(v + 1):
+                return True
+            for undone in trail[mark:]:
+                value[undone] = value[-undone] = None
+            del trail[mark:]
         return False
 
-    start_queue = [ci for ci, clause in enumerate(clauses) if len(clause) == 1]
-    if any(len(clause) == 0 for clause in clauses):
+    if not all(clauses) or not assign([u for u in map(unit, clauses) if u]) or not solve(1):
         return False, None
-    if not propagate(start_queue):
-        return False, None
-    if not solve():
-        return False, None
-    return True, tuple(bool(assign[v]) for v in range(1, num_vars + 1))
+    return True, tuple(value[1 : num_vars + 1])
 
 
 def solve_with_toy_dpll(cnf: CnfInstance) -> tuple[bool, WitnessCertificate | None]:

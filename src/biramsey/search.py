@@ -576,15 +576,8 @@ def find_br_m(
     for n in range(t, n_limit + 1):
         outcome = arrows(ArrowingInstance(m, n, t), cfg)
         if outcome.verdict == BUDGET_EXHAUSTED:
-            return KnownValueRecord(
-                m=m,
-                t=t,
-                status=LOWER_BOUND,
-                provenance=SEARCHED,
-                bound=n,
-                certificate=prev_cert,
-                note=f"budget exhausted at n={n}",
-            )
+            bound, note = n, f"budget exhausted at n={n}"
+            break
         if outcome.verdict == ARROWS:
             return KnownValueRecord(
                 m=m,
@@ -595,12 +588,14 @@ def find_br_m(
                 certificate=prev_cert,
             )
         prev_cert = outcome.certificate
+    else:
+        bound, note = n_limit + 1, f"no arrowing up to n={n_limit}"
     return KnownValueRecord(
         m=m,
         t=t,
         status=LOWER_BOUND,
         provenance=SEARCHED,
-        bound=n_limit + 1,
+        bound=bound,
         certificate=prev_cert,
-        note=f"no arrowing up to n={n_limit}",
+        note=note,
     )

@@ -13,7 +13,7 @@ complement (every t rows share <= t-1 complement columns).
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import numpy as np
 
@@ -72,16 +72,24 @@ def row_orders(images):
         yield from set(permutations(image))
 
 
-def contains_biclique_enum(rows: list[frozenset[int]], n: int, s: int, t: int) -> bool:
-    """Full subset enumeration over all C(m,s) * C(n,t) row/column pairs."""
-    m = len(rows)
-    if s > m or t > n:
-        return False
+def contains_biclique_codes(m: int, n: int, s: int, t: int) -> np.ndarray:
+    """Whether each of the 2^(m*n) m x n graphs contains K_{s,t}, by code.
+
+    Full subset enumeration over all C(m,s) * C(n,t) row/column pairs,
+    vectorized over the codes like ``arrows_oracle``.
+    """
+    full = (1 << n) - 1
+    codes = np.arange(1 << (m * n), dtype=np.int64)
+    rows = [(codes >> (i * n)) & full for i in range(m)]
+    found = np.zeros(codes.shape, dtype=bool)
     for row_subset in combinations(range(m), s):
+        common = np.full(codes.shape, full, dtype=np.int64)
+        for i in row_subset:
+            common &= rows[i]
         for col_subset in combinations(range(n), t):
-            if all(c in rows[i] for i in row_subset for c in col_subset):
-                return True
-    return False
+            cols = sum(1 << c for c in col_subset)
+            found |= (common & cols) == cols
+    return found
 
 
 def arrows_oracle(m: int, n: int, t: int, chunk: int = 1 << 18) -> bool:
@@ -190,3 +198,14 @@ def model_satisfies(clauses, model) -> bool:
         if not satisfied:
             return False
     return True
+
+
+def lex_first_model(num_vars: int, clauses):
+    """The first model over all 2^num_vars assignments, True before False.
+
+    Returns (True, model) or (False, None), the toy solver's contract.
+    """
+    for model in product((True, False), repeat=num_vars):
+        if model_satisfies(clauses, model):
+            return True, model
+    return False, None

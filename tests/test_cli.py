@@ -272,6 +272,24 @@ class TestExportCnf:
         )
         assert proc.stderr == b"wrote p cnf 56 2548 to /dev/stdout\n"
 
+    def test_reader_closing_the_pipe_exits_141(self):
+        # a reader that stops after one line is normal use of a pipe: the
+        # export ends with 128 + SIGPIPE and says nothing on stderr
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "biramsey.cli", "export-cnf",
+             "-m", "7", "-n", "20", "-t", "5", "-o", "/dev/stdout"],
+            env=_subprocess_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            assert proc.stdout.readline() == b"p cnf 140 329574\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 128 + signal.SIGPIPE
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+
     def test_directory_target_fails_at_once(self, tmp_path, capsys):
         # checked before the export starts, which writes <target>.part
         # first: the error names the target and nothing is left behind

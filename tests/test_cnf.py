@@ -28,7 +28,7 @@ from biramsey.core import BipartiteGraph, UsageError
 from biramsey.search import ARROWS, NOT_ARROWS, ArrowingInstance, arrows
 from biramsey.witnesses import witness_8x29
 
-from oracles import arrows_oracle, clauses_from_definition, model_satisfies
+from oracles import arrows_oracle, clauses_from_definition, lex_first_model, model_satisfies
 
 # every instance with m <= 4, n <= 6 and 1 <= t <= min(m, n)
 SMALL_INSTANCES = [
@@ -341,6 +341,35 @@ class TestDpll:
 
     def test_empty_clause_unsat(self):
         assert dpll(2, [(), (1, 2)]) == (False, None)
+
+    def test_tautology_is_never_a_unit(self):
+        # with 2 false, (2 | -1 | 1) has two free literals, -1 and 1, and
+        # forcing -1 from it would contradict the unit clause (1)
+        assert dpll(2, [(1,), (-2,), (2, -1, 1)]) == (True, (True, False))
+        assert dpll(2, [(2, -1, 1), (-2,), (1,)]) == (True, (True, False))
+
+    def test_out_of_range_literal(self):
+        for bad in (0, 3, -3):
+            with pytest.raises(UsageError):
+                dpll(2, [(1, bad)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda nv: st.tuples(
+                st.just(nv),
+                st.lists(
+                    st.lists(st.integers(-nv, nv).filter(bool), max_size=5).map(tuple),
+                    max_size=12,
+                ),
+            )
+        )
+    )
+    def test_lex_first_model_against_brute_force(self, formula):
+        # literals are drawn with replacement, so clauses repeat literals,
+        # hold x and -x, or are empty
+        num_vars, clauses = formula
+        assert dpll(num_vars, clauses) == lex_first_model(num_vars, clauses)
 
     def test_agreement_with_search_small_sweep(self):
         for m in range(2, 5):

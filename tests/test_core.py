@@ -28,7 +28,7 @@ from biramsey.core import (
 )
 from biramsey.witnesses import witness_6x39, witness_8x29
 
-from oracles import contains_biclique_enum
+from oracles import contains_biclique_codes
 
 
 def graph_from_code(code: int, m: int, n: int) -> BipartiteGraph:
@@ -185,14 +185,12 @@ class TestContainsBiclique:
 
     def test_oracle_equivalence_exhaustive_4x4(self):
         # every 4x4 graph, a handful of reduced specs
-        specs = [(1, 1), (2, 2), (2, 3), (3, 2), (4, 4)]
-        for code in range(1 << 16):
-            g = graph_from_code(code, 4, 4)
-            rows = g.rows
-            for s, t in specs:
-                got = contains_biclique(g, BicliqueSpec(s, t))
-                want = contains_biclique_enum(list(rows), 4, s, t)
-                assert got == want, (code, s, t)
+        every_graph = [graph_from_code(code, 4, 4) for code in range(1 << 16)]
+        for s, t in [(1, 1), (2, 2), (2, 3), (3, 2), (4, 4)]:
+            want = contains_biclique_codes(4, 4, s, t).tolist()
+            spec = BicliqueSpec(s, t)
+            for code, g in enumerate(every_graph):
+                assert contains_biclique(g, spec) == want[code], (code, s, t)
 
     def test_embedding_is_real(self):
         rng = random.Random(7)
