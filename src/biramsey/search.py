@@ -25,17 +25,21 @@ The search is one serial depth-first pass from the root.  Its state is the
 argument list of ``_Worker._dfs``: three immutable tuples, the assigned
 rows, the runs of interchangeable columns (with the rows incident to each)
 and the column unions of the j-subsets of rows for j < t, plus the next
-row's degree limit.  The root's limit is the degree cap (n with degree-cap
-off); a parent passes each child the child's own row degree under
-canonical-order, else its own limit.  That is exact: under canonical-order
-each row's degree is at most the first row's, itself at most the cap.  A
-node receives its parent's runs and unions; a leaf only verifies itself.
-An inner node extends the unions by its own last row, returns at once when
-no next row can meet the column deficit below, and only then refines the
-runs by that row.  Nothing is restored on return.
+row's degree limit and ``tight`` (below).  The root's limit is the degree
+cap (n with degree-cap off); a parent passes each child the child's own row
+degree under canonical-order, else its own limit.  That is exact: under
+canonical-order each row's degree is at most the first row's, itself at
+most the cap.  A node receives its parent's runs, unions and ``tight``; a
+leaf only verifies itself.  An inner node first forms only its new unions
+of t-1 rows, those holding its own row, to update ``tight``, and returns at
+once when no next row can meet the column deficit below.  Most nodes return
+there, so only a node that goes on extends the other union levels, works
+out its floor and refines the runs by its row.  Nothing is restored on
+return.
 
 Rows that cannot pass the deficit or the floor are never built.  Let
-``tight`` be a union of t-1 assigned rows with the fewest columns: a row
+``tight`` be the first union of t-1 assigned rows with the fewest columns,
+in the order ``unions`` lists them (colex order of the row subsets): a row
 with fewer than need = n - t + 1 - |tight| columns outside it joins those
 rows in covering at most n - t columns, leaving a complement K_{t,t}.  A
 next row meets each assigned row in at most one column, and its columns
@@ -51,9 +55,13 @@ and the floor.  It generates a row as interval columns plus a block of
 never-used columns, which lie outside every union, so it tracks how many of
 the interval columns lie outside ``tight``, never enters a branch none of
 whose rows can reach ``need``, and drops the rows below the deficit or the
-floor where they are emitted.  The rows it builds are still tested against
-every final union.  The counts are those of the rows tried, which are the
-rows built (see ``SearchStats``).
+floor where they are emitted.  A branch can still add at most one column
+outside ``tight`` per assigned row that meets a later pool outside
+``tight`` and that the branch has not met yet (the same one-meeting
+argument, so pools that share a row count once), plus the never-used
+columns.  The rows it builds are still tested
+against every final union.  The counts are those of the rows tried, which
+are the rows built (see ``SearchStats``).
 
 Disabling every rule leaves a sound pure enumeration.
 """
@@ -294,7 +302,9 @@ class _Worker:
         # unions[j] holds the column unions of all j-subsets of assigned rows;
         # extended only while coverage is on, the only rule that reads them
         unions: tuple[tuple[int, ...], ...] = ((0,),) + ((),) * (self.t - 1)
-        return self._dfs((), intervals, unions, self.root_limit)
+        # the first smallest union of t - 1 rows: with t = 1 the empty union
+        tight = min(unions[-1], default=None) if self.coverage_on else None
+        return self._dfs((), intervals, unions, self.root_limit, tight)
 
     def _floor(self, rows: tuple[int, ...], limit: int) -> int:
         """The lowest degree of a row after ``rows`` whose child passes the
@@ -347,11 +357,14 @@ class _Worker:
         emitting each subset after its extensions, taken in increasing column
         order, already lists each degree in column-lex-descending order.
         A branch none of whose rows can reach ``need`` columns outside
-        ``tight`` is never entered, and an emission point first drops the
-        rows below the deficit or the floor.  With canonical-order on and the
-        last row of degree ``limit``, the rows of that degree that sort above
-        the last row come first in its bucket: each is a canonical-order
-        prune, until one passes and so do all later ones.
+        ``tight`` is never entered: that is when the assigned rows that meet
+        its later pools outside ``tight``, and that it has not met, are too
+        few, since a row takes at most one column of each assigned row.  An
+        emission point first drops the rows below the deficit or the floor.
+        With canonical-order on and the last row of degree ``limit``, the
+        rows of that degree that sort above the last row come first in its
+        bucket: each is a canonical-order prune, until one passes and so do
+        all later ones.
         """
         by_deg: list[list[int]] = [[] for _ in range(limit + 1)]
         tied = 0
@@ -375,11 +388,18 @@ class _Worker:
             (1 << start, incidence, not (tight >> start) & 1)
             for start, _length, incidence in intervals
         ]
-        # reach[i]: the most columns outside ``tight`` that pools i and later
-        # and the new columns can add, degree limit aside
-        reach = [max_new] * (len(pools) + 1)
+        # avail[i]: the assigned rows that meet a pool i or later outside
+        # ``tight``, and a bit of its own (above the row bits) for such a
+        # pool in no assigned row, which only happens with canonical-order
+        # off.  A row meets each assigned row in at most one column, so a
+        # branch past pool i - 1 adds at most one column outside ``tight``
+        # per bit of avail[i] it has not met, plus the new columns
+        avail = [0] * (len(pools) + 1)
         for i in range(len(pools) - 1, -1, -1):
-            reach[i] = reach[i + 1] + pools[i][2]
+            _cbit, incidence, outside = pools[i]
+            avail[i] = avail[i + 1]
+            if outside:
+                avail[i] |= incidence or 1 << (self.m + i)
 
         def rec(idx: int, omask: int, odeg: int, rows_hit: int, out: int) -> None:
             # ``out``: the columns of ``omask`` outside ``tight``; ``short``:
@@ -389,15 +409,16 @@ class _Worker:
             short = need - out
             if room:
                 for body in range(idx, len(pools)):
-                    # no row through pool ``body`` reaches ``need`` when
-                    # the pool and what follows it, or the pool and room - 1
-                    # more columns, fall short; reach only falls with body
-                    if reach[body] < short:
-                        break
+                    # no row through pool ``body`` reaches ``need`` when the
+                    # pool and room - 1 more columns fall short, or the pool
+                    # and what avail allows after it
                     cbit, incidence, outside = pools[body]
                     if incidence & rows_hit or outside + room <= short:
                         continue
-                    rec(body + 1, omask | cbit, odeg + 1, rows_hit | incidence, out + outside)
+                    hit = rows_hit | incidence
+                    if short - outside > (avail[body + 1] & ~hit).bit_count() + max_new:
+                        continue
+                    rec(body + 1, omask | cbit, odeg + 1, hit, out + outside)
             hi = room if room < max_new else max_new
             # each new column lies outside ``tight``
             lo = floor - odeg if floor - odeg > short else short
@@ -425,21 +446,24 @@ class _Worker:
         intervals: tuple[tuple[int, int, int], ...],
         unions: tuple[tuple[int, ...], ...],
         limit: int,
+        tight: int | None,
     ) -> WitnessCertificate | None:
         """The certificate of the first good coloring at or below this node, or None.
 
         ``intervals`` and ``unions`` describe ``rows[:-1]``, the parent's
-        rows; the node refines them by its own row.  ``limit`` is the next
-        row's degree limit, which the parent passes (see the module
-        docstring); a limit below n is the degree cap's, and counted as its
-        prune, except where canonical-order set it to the node's own row
-        degree.  Every entry is a node, the root too: it checks the
-        node budget and the deadline, once, before it counts itself, and a
-        leaf returns its certificate when it is a good coloring.  An inner
-        node returns with no child to try when its floor is above its limit,
-        or, once it has extended the unions and found the column deficit,
-        when no next row can reach that deficit; only then does it refine
-        the intervals and build its candidates.
+        rows, and ``tight`` is the parent's first smallest union of t - 1
+        rows (None when there is none, or coverage is off); the node
+        updates all three by its own row.  ``limit`` is the next row's degree
+        limit, which the parent passes (see the module docstring); a limit
+        below n is the degree cap's, and counted as its prune, except where
+        canonical-order set it to the node's own row degree.  Every entry is
+        a node, the root too: it checks the node budget and the deadline,
+        once, before it counts itself, and a leaf returns its certificate
+        when it is a good coloring.  An inner node forms only its new unions
+        of t - 1 rows, those holding its own row, and returns with no child
+        to try when no next row can reach the column deficit; only then does
+        it extend the other union levels, return when its floor is above its
+        limit, refine the intervals and build its candidates.
         """
         if self.nodes == self.node_limit:
             raise _BudgetExceeded
@@ -453,26 +477,24 @@ class _Worker:
         if limit < n and not (rows and self.canonical_on):
             self.prunes[RULE_DEGREE_CAP] += 1
         coverage_on = self.coverage_on
-        floor = self._floor(rows, limit) if coverage_on else 0
-        if floor > limit:
-            return None
 
-        if rows and coverage_on:
-            row = rows[-1]
-            extended = [unions[0]]
-            for j in range(1, t):
-                extended.append(unions[j] + tuple([uv | row for uv in unions[j - 1]]))
-            unions = tuple(extended)
-
+        # the new unions of t - 1 rows join the node's own row to the
+        # parent's unions of t - 2; ``tight`` stays the first smallest union
+        # in the order ``unions`` lists them, the parent's before the new
+        grow = bool(rows) and coverage_on and t > 1
+        row = rows[-1] if rows else 0
+        new = [uv | row for uv in unions[t - 2]] if grow else []
+        if new:
+            least = min(new, key=int.bit_count)
+            if tight is None or least.bit_count() < tight.bit_count():
+                tight = least
         # a t-subset of assigned rows leaving >= t columns uncovered is final,
         # whatever rows follow.  A row with fewer than ``need`` columns outside
         # the smallest final union leaves t columns uncovered with it, so
         # candidates() never builds such rows
-        finals = unions[t - 1] if coverage_on else ()
         uncovered_limit = n - t
-        tight = need = 0
-        if finals:
-            tight = min(finals, key=int.bit_count)
+        need = 0
+        if tight is not None:
             need = uncovered_limit + 1 - tight.bit_count()
             # a next row meets each assigned row in at most one column, and a
             # column outside ``tight`` lies in none of its t - 1 rows: it is
@@ -480,9 +502,20 @@ class _Worker:
             if need > len(rows) - t + 1 + n - reduce(or_, rows, 0).bit_count():
                 return None
 
+        floor = self._floor(rows, limit) if coverage_on else 0
+        if floor > limit:
+            return None
+        if grow:
+            extended = [unions[0]]
+            for j in range(1, t - 1):
+                extended.append(unions[j] + tuple([uv | row for uv in unions[j - 1]]))
+            extended.append(unions[t - 1] + tuple(new))
+            unions = tuple(extended)
+        finals = unions[t - 1] if tight is not None else ()
+
         if rows:
             # the node's own intervals: refine the parent's by the last row
-            row, row_bit = rows[-1], 1 << (len(rows) - 1)
+            row_bit = 1 << (len(rows) - 1)
             refined = []
             for start, length, incidence in intervals:
                 c = ((row >> start) & ((1 << length) - 1)).bit_count()
@@ -492,7 +525,7 @@ class _Worker:
                     refined.append((start + c, length - c, incidence))
             intervals = tuple(refined)
 
-        by_deg = self.candidates(rows, intervals, limit, floor, tight, need)
+        by_deg = self.candidates(rows, intervals, limit, floor, tight or 0, need)
         for degree in range(limit, floor - 1, -1):
             child_limit = degree if self.canonical_on else limit
             for mask in by_deg[degree]:
@@ -502,7 +535,7 @@ class _Worker:
                         self.prunes[RULE_COVERAGE] += 1
                         break
                 else:
-                    found = self._dfs(rows + (mask,), intervals, unions, child_limit)
+                    found = self._dfs(rows + (mask,), intervals, unions, child_limit, tight)
                     if found is not None:
                         return found
         return None

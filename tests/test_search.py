@@ -142,6 +142,22 @@ def canonical_shape(rows: list[int], n: int) -> list[int]:
     return [sum(1 << label[c] for c in range(n) if row >> c & 1) for row in rows]
 
 
+def draw_rows(data) -> tuple[int, int, list[int]]:
+    """t <= 4, n <= 10 and at least t - 1 C4-free rows over n columns, as
+    drawn or relabelled into the canonical shape."""
+    t = data.draw(st.integers(1, 4), label="t")
+    n = data.draw(st.integers(1, 10), label="n")
+    drawn = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=7), label="drawn")
+    rows = []
+    for mask in drawn:
+        if all((mask & row).bit_count() <= 1 for row in rows):
+            rows.append(mask)
+    assume(len(rows) >= t - 1)
+    if data.draw(st.booleans(), label="canonical"):
+        rows = canonical_shape(rows, n)
+    return t, n, rows
+
+
 class TestDeficitReach:
     def test_columns_outside_a_union_are_bounded_and_the_bound_is_met(self):
         # engine-free: a row meeting each assigned row in at most one column
@@ -156,16 +172,7 @@ class TestDeficitReach:
         @given(st.data())
         def check(data):
             nonlocal attained
-            t = data.draw(st.integers(1, 4), label="t")
-            n = data.draw(st.integers(1, 10), label="n")
-            drawn = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=7), label="drawn")
-            rows = []
-            for mask in drawn:
-                if all((mask & row).bit_count() <= 1 for row in rows):
-                    rows.append(mask)
-            assume(len(rows) >= t - 1)
-            if data.draw(st.booleans(), label="canonical"):
-                rows = canonical_shape(rows, n)
+            t, n, rows = draw_rows(data)
             bound = len(rows) - t + 1 + n - reduce(or_, rows, 0).bit_count()
             compatible = [
                 mask for mask in range(1 << n)
@@ -176,6 +183,41 @@ class TestDeficitReach:
                 most = max((mask & ~union).bit_count() for mask in compatible)
                 assert most <= bound, (n, t, rows, subset)
                 attained += most == bound
+
+        check()
+        assert attained > 0
+
+    def test_columns_a_partial_row_can_add_are_bounded_by_the_rows_it_misses(self):
+        # engine-free: a row extending a partial row p, both meeting each
+        # assigned row in at most one column, takes outside the union of any
+        # t - 1 of the rows at most one column beyond p per assigned row that
+        # has a column outside the union and that p misses, plus the columns
+        # no row takes.  Pools that share an assigned row count once, so
+        # _Worker.candidates never enters a branch whose deficit exceeds
+        # this.  Some draws meet the bound, so a bound one tighter fails here
+        attained = 0
+
+        @settings(max_examples=500, deadline=None)
+        @given(st.data())
+        def check(data):
+            nonlocal attained
+            t, n, rows = draw_rows(data)
+            subset = data.draw(st.sampled_from(list(combinations(rows, t - 1))), label="subset")
+            union = reduce(or_, subset, 0)
+            compatible = [
+                mask for mask in range(1 << n)
+                if all((mask & row).bit_count() <= 1 for row in rows)
+            ]
+            partial = data.draw(st.sampled_from(compatible), label="partial")
+            missed = sum(1 for row in rows if row & ~union and not row & partial)
+            bound = missed + n - reduce(or_, rows, 0).bit_count()
+            most = max(
+                (mask & ~union & ~partial).bit_count()
+                for mask in compatible
+                if mask & partial == partial
+            )
+            assert most <= bound, (n, t, rows, subset, partial)
+            attained += most == bound
 
         check()
         assert attained > 0
@@ -611,8 +653,8 @@ class TestDeterminism:
     def test_candidate_order(self, monkeypatch):
         # at every node the candidates are exactly the C4-compatible (and, with
         # canonical-order on, interval-prefix) rows up to the degree limit that
-        # take at least ``need`` columns outside ``tight``, the smallest union
-        # of t-1 assigned rows, and reach the floor; they come in one bucket
+        # take at least ``need`` columns outside ``tight``, the first smallest
+        # union of t-1 assigned rows, and reach the floor; they come in one bucket
         # per degree, and read degree-descending they are
         # column-lex-descending.  The canonical-order prunes are the rows
         # among them tying the last row's degree that sort above it
@@ -631,14 +673,16 @@ class TestDeterminism:
                 want_limit = min(want_limit, rows[-1].bit_count())
             assert limit == want_limit, rows
             # the deficit: joined to a union of t-1 assigned rows, a row needs
-            # n - t + 1 columns covered, or t columns stay uncovered
+            # n - t + 1 columns covered, or t columns stay uncovered.  ``tight``
+            # is the first smallest union in colex order of the row subsets,
+            # the order the engine lists them in
             unions = []
             if worker.coverage_on:
-                unions = [reduce(or_, subset, 0) for subset in combinations(rows, t - 1)]
+                subsets = sorted(combinations(range(len(rows)), t - 1), key=lambda s: s[::-1])
+                unions = [reduce(or_, (rows[i] for i in s), 0) for s in subsets]
             if unions:
-                smallest = min(union.bit_count() for union in unions)
-                assert tight in unions and tight.bit_count() == smallest, rows
-                assert need == n - t + 1 - smallest, rows
+                assert tight == min(unions, key=int.bit_count), rows
+                assert need == n - t + 1 - tight.bit_count(), rows
             else:
                 assert (tight, need) == (0, 0), rows
             over_limit += need > limit
