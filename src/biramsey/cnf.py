@@ -26,6 +26,12 @@ parts of the rows in R.  Zipping the s parts of R therefore gives R's
 clauses in order, and the joins (tuple ``add`` for ``clauses()``,
 ``str.join`` for ``dimacs_lines()``) run in C, with no Python code per
 literal.
+
+``satisfies`` reads the same parts and builds no clause.  The clause of
+(R, C) is false exactly when every row in R has no true literal in its part
+for C, so each row's parts are tested once, their flags packed as the bytes
+of one int per row, and R has a false clause iff the AND of its rows' ints
+is nonzero: m * C(n, s) part tests in place of C(m, s) * C(n, s) clauses.
 """
 
 from __future__ import annotations
@@ -36,9 +42,10 @@ import os
 import stat
 import tempfile
 from dataclasses import dataclass
-from itertools import combinations, compress, count, repeat
+from functools import reduce
+from itertools import combinations, compress, count, islice, repeat
 from math import comb
-from operator import add
+from operator import add, and_
 from typing import Iterator, Sequence
 
 from .core import BipartiteGraph, UsageError, columns_from_mask
@@ -47,6 +54,8 @@ from .witnesses import WitnessCertificate, verify_good_coloring
 
 # the most clauses ``solve_with_toy_dpll`` will materialize
 TOY_CLAUSE_LIMIT = 200_000
+# column subsets ``satisfies`` tests per row at a time (one flag byte each)
+CHECK_CHUNK = 1024
 
 
 class EncodingIntegrityError(RuntimeError):
@@ -92,21 +101,23 @@ class CnfInstance:
 
     def clauses(self) -> Iterator[tuple[int, ...]]:
         """All clauses in the canonical order."""
-        n = self.n
-        pos = [range(i * n + 1, (i + 1) * n + 1) for i in range(self.m)]
-        neg = [range(-i * n - 1, -(i + 1) * n - 1, -1) for i in range(self.m)]
-        for parts in self._parts(neg, pos):
+        for parts in self._parts(*self._literals()):
             yield from _concat(parts)
 
     def dimacs_lines(self) -> Iterator[str]:
         """DIMACS text, line by line, without trailing newlines."""
         yield f"p cnf {self.num_vars} {self.num_clauses}"
-        n = self.n
         # each literal carries its separator, so a line is the parts' text and "0"
-        pos = [[f"{v} " for v in range(i * n + 1, (i + 1) * n + 1)] for i in range(self.m)]
-        neg = [[f"-{lit}" for lit in row] for row in pos]
+        neg, pos = ([[f"{v} " for v in row] for row in rows] for rows in self._literals())
         for parts in self._parts(neg, pos):
             yield from map("".join, zip(*(map("".join, p) for p in parts), repeat("0")))
+
+    def _literals(self) -> tuple[list[range], list[range]]:
+        """Each row's negated and positive literals, by column."""
+        n = self.n
+        pos = [range(i * n + 1, (i + 1) * n + 1) for i in range(self.m)]
+        neg = [range(-i * n - 1, -(i + 1) * n - 1, -1) for i in range(self.m)]
+        return neg, pos
 
     def _parts(
         self, neg: Sequence[Sequence], pos: Sequence[Sequence]
@@ -118,9 +129,13 @@ class CnfInstance:
         covering family t-subsets of ``pos``; zipping a subset's parts gives
         its clauses in order (see the module docstring).
         """
-        for rows, s in ((neg, 2), (pos, self.t)):
+        for rows, s in self._families(neg, pos):
             for subset in combinations(range(self.m), s):
                 yield [combinations(rows[i], s) for i in subset]
+
+    def _families(self, neg: Sequence[Sequence], pos: Sequence[Sequence]) -> tuple:
+        """The clause families in order, each as (per-row literals, subset size s)."""
+        return ((neg, 2), (pos, self.t))
 
 
 def _concat(parts: list[Iterator[tuple]]) -> Iterator[tuple]:
@@ -223,13 +238,30 @@ def graph_from_model(cnf: CnfInstance, model: Sequence[bool]) -> BipartiteGraph:
 
 
 def satisfies(cnf: CnfInstance, model: Sequence[bool]) -> bool:
-    """Clause-by-clause check of a full assignment against the formula."""
+    """Whether a full assignment satisfies every clause, checked row part by row part.
+
+    No clause is built (see the module docstring): for each family and each
+    chunk of ``CHECK_CHUNK`` column subsets, every row packs one flag byte
+    per subset, set when its part there has no true literal, and a row
+    subset whose packed flags share a set byte has a false clause.
+    """
     if len(model) != cnf.num_vars:
         raise UsageError(
             f"model assigns {len(model)} variables, formula has {cnf.num_vars}"
         )
     true_lits = {v if value else -v for v, value in enumerate(model, 1)}
-    return not any(map(true_lits.isdisjoint, cnf.clauses()))
+    for rows, s in cnf._families(*cnf._literals()):
+        parts = [combinations(row, s) for row in rows]
+        subsets = list(combinations(range(cnf.m), s))
+        for _ in range(-(-comb(cnf.n, s) // CHECK_CHUNK)):
+            flags = [
+                int.from_bytes(bytes(map(true_lits.isdisjoint, islice(p, CHECK_CHUNK))), "big")
+                for p in parts
+            ]
+            for subset in subsets:
+                if reduce(and_, map(flags.__getitem__, subset)):
+                    return False
+    return True
 
 
 def decode_model(

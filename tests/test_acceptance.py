@@ -11,7 +11,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from biramsey.cli import main as cli_main
-from biramsey.cnf import encode_cnf, model_from_graph, solve_with_toy_dpll
+from biramsey.cnf import encode_cnf, model_from_graph, satisfies, solve_with_toy_dpll
 from biramsey.search import (
     ARROWS,
     NOT_ARROWS,
@@ -221,37 +221,49 @@ def test_criterion_7_declared_substitutes(capsys):
             assert entry.upper_provenance == TRUSTED_LITERATURE
 
 
+def check_fixture_model(graph, t):
+    """The fixture's model satisfies its whole formula, and fails it once one
+    added edge closes a C4; the covering clauses are also checked engine-free."""
+    cnf = encode_cnf(ArrowingInstance(graph.m, graph.n, t))
+    model = model_from_graph(cnf, graph)
+    assert satisfies(cnf, model)
+    masks = graph.row_masks
+    row_unions = {}
+    for rows in combinations(range(graph.m), t):
+        union = 0
+        for i in rows:
+            union |= masks[i]
+        row_unions[rows] = union
+    ok = True
+    for cols in combinations(range(graph.n), t):
+        cmask = 0
+        for c in cols:
+            cmask |= 1 << c
+        for rows, union in row_unions.items():
+            if not union & cmask:
+                ok = False
+    assert ok
+    # no-K_{2,2} clauses hold because the coloring is C4-free
+    for i, j in combinations(range(graph.m), 2):
+        assert (masks[i] & masks[j]).bit_count() <= 1
+    # rows 0 and 1 share one column; give row 1 another of row 0's columns
+    extra = (masks[0] & ~masks[1]).bit_length() - 1
+    assert (masks[0] & masks[1]).bit_count() == 1 and extra >= 0
+    closed = list(model)
+    closed[cnf.var(1, extra) - 1] = True
+    assert not satisfies(cnf, closed)
+
+
 def test_criterion_7_witness_model_satisfies_formula():
     # supporting check for the same criterion: the 8x29 coloring, written as a
     # model of the (8,29,5) formula, satisfies every clause
     with criterion(7, "8x29 model satisfies the (8,29,5) formula"):
-        cnf = encode_cnf(ArrowingInstance(8, 29, 5))
-        model = model_from_graph(cnf, witness_8x29())
-        row_unions = {}
-        n = cnf.n
-        masks = witness_8x29().row_masks
-        ok = True
-        for rows in combinations(range(8), 5):
-            union = 0
-            for i in rows:
-                union |= masks[i]
-            row_unions[rows] = union
-        for cols in combinations(range(29), 5):
-            cmask = 0
-            for c in cols:
-                cmask |= 1 << c
-            for rows, union in row_unions.items():
-                if not union & cmask:
-                    ok = False
-        assert ok
-        # no-K_{2,2} clauses hold because the coloring is C4-free
-        for i, j in combinations(range(8), 2):
-            assert (masks[i] & masks[j]).bit_count() <= 1
-        # spot-check literal semantics through the generic clause checker
-        assert all(
-            any(model[lit - 1] if lit > 0 else not model[-lit - 1] for lit in clause)
-            for _, clause in zip(range(2000), cnf.clauses())
-        )
+        check_fixture_model(witness_8x29(), 5)
+
+
+def test_criterion_7_witness_6x39_model_satisfies_formula():
+    with criterion(7, "6x39 model satisfies the (6,39,5) formula"):
+        check_fixture_model(witness_6x39(), 5)
 
 
 def test_criterion_8_roundtrip_and_determinism(tmp_path, capsys):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biramsey import cnf as cnf_module
 from biramsey.cnf import (
     CnfInstance,
     EncodingIntegrityError,
@@ -283,12 +284,11 @@ class TestModels:
         with pytest.raises(UsageError):
             decode_model(cnf, (True,) * 3)
 
-    def test_witness_8x29_satisfies_small_cross_section(self):
-        # the full 6.6M-clause satisfaction check lives in the acceptance suite
+    def test_witness_8x29_model_decodes_strictly(self):
         cnf = encode_cnf(ArrowingInstance(8, 29, 5))
         model = model_from_graph(cnf, witness_8x29())
         cert = decode_model(cnf, model, strict=True)
-        assert cert.valid
+        assert cert.valid and cert.graph == witness_8x29()
 
     def test_satisfies_small(self):
         cnf = encode_cnf(ArrowingInstance(4, 4, 2))
@@ -296,6 +296,21 @@ class TestModels:
         model = model_from_graph(cnf, out.certificate.graph)
         assert satisfies(cnf, model)
         assert not satisfies(cnf, (True,) * 16)
+
+
+# the default chunk, and chunks small enough that their boundaries fall
+# inside the families of the small instances below
+CHUNKS = (cnf_module.CHECK_CHUNK, 1, 2, 7)
+
+
+def satisfies_by_chunk(cnf, model) -> dict[int, bool]:
+    """``satisfies`` with ``CHECK_CHUNK`` set to each of CHUNKS."""
+    with pytest.MonkeyPatch.context() as mp:
+        out = {}
+        for chunk in CHUNKS:
+            mp.setattr(cnf_module, "CHECK_CHUNK", chunk)
+            out[chunk] = satisfies(cnf, model)
+        return out
 
 
 class TestSatisfies:
@@ -307,7 +322,7 @@ class TestSatisfies:
         m, n, t = instance
         model = tuple(rnd.random() < density for _ in range(m * n))
         expected = model_satisfies(clauses_from_definition(m, n, t), model)
-        assert satisfies(CnfInstance(m, n, t), model) == expected
+        assert satisfies_by_chunk(CnfInstance(m, n, t), model) == dict.fromkeys(CHUNKS, expected)
 
     @pytest.mark.parametrize("m,n,t", [(4, 6, 3), (4, 5, 3), (3, 4, 3)])
     def test_one_falsified_clause_near_a_good_coloring(self, m, n, t):
@@ -323,9 +338,23 @@ class TestSatisfies:
             for lit in clause:
                 model[abs(lit) - 1] = lit < 0
             if sum(not model_satisfies([c], model) for c in clauses) == 1:
-                assert not satisfies(cnf, model), clause
+                assert satisfies_by_chunk(cnf, model) == dict.fromkeys(CHUNKS, False), clause
                 found["no-K22" if clause[0] < 0 else "covering"] += 1
         assert found["no-K22"] > 0 and found["covering"] > 0
+
+    def test_false_clauses_only_past_the_first_chunk(self):
+        # row i = {i}: the false clauses are the covering clauses of the
+        # column 5-subsets inside columns 5..13, the last 126 of 2,002
+        m, n, t = 5, 14, 5
+        cnf = CnfInstance(m, n, t)
+        model = model_from_graph(cnf, BipartiteGraph.from_rows(m, n, [[i] for i in range(m)]))
+        clauses = clauses_from_definition(m, n, t)
+        covering = clauses[comb(m, 2) * comb(n, 2) :]
+        false = [k for k, clause in enumerate(covering) if not model_satisfies([clause], model)]
+        assert false == list(range(1876, 2002))
+        assert 1876 > cnf_module.CHECK_CHUNK
+        assert satisfies(cnf, model) is False
+        assert not model_satisfies(clauses, model)
 
 
 class TestDpll:
