@@ -12,8 +12,10 @@ NONEXISTENT / 4 lower bound only (a budget trip, or ``--limit`` reached
 without arrowing).  Every command exits 2 on a usage error and 1 when a
 file cannot be read or written; ``arrows -o`` checks its path before the
 search, so that failure costs no search.
-SIGTERM ends a command as Ctrl-C would, running its clean-up (an interrupted
-``export-cnf`` removes its temporary file), and exits 143 (128 + SIGTERM).
+Ctrl-C (SIGINT) ends a command with one line on stderr and exit 130
+(128 + SIGINT), after its clean-up has run (an interrupted ``export-cnf``
+removes its temporary file).  SIGTERM ends a command the same way, with no
+message, and exits 143 (128 + SIGTERM).
 A reader that closes the output pipe early (``| head -1``) ends a command
 quietly with exit 141 (128 + SIGPIPE).
 """
@@ -338,6 +340,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 128 + signal.SIGINT
     except BrokenPipeError:
         # the reader closed the pipe, which is normal use; point stdout at
         # the null device so the flush at exit cannot raise again

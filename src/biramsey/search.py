@@ -30,38 +30,45 @@ cap (n with degree-cap off); a parent passes each child the child's own row
 degree under canonical-order, else its own limit.  That is exact: under
 canonical-order each row's degree is at most the first row's, itself at
 most the cap.  A node receives its parent's runs, unions and ``tight``; a
-leaf only verifies itself.  An inner node first forms only its new unions
-of t-1 rows, those holding its own row, to update ``tight``, and returns at
-once when no next row can meet the column deficit below.  Most nodes return
-there, so only a node that goes on extends the other union levels, works
-out its floor and refines the runs by its row.  Nothing is restored on
-return.
+leaf only verifies itself.  An inner node extends its unions by its own row,
+which updates ``tight``, returns when its floor (below) is above its limit,
+and otherwise refines the runs by its row and builds its candidates.
+Nothing is restored on return.
 
-Rows that cannot pass the deficit or the floor are never built.  Let
-``tight`` be the first union of t-1 assigned rows with the fewest columns,
-in the order ``unions`` lists them (colex order of the row subsets): a row
-with fewer than need = n - t + 1 - |tight| columns outside it joins those
-rows in covering at most n - t columns, leaving a complement K_{t,t}.  A
-next row meets each assigned row in at most one column, and its columns
-outside ``tight`` lie in none of those t-1 rows, so it has at most
-len(rows) - t + 1 + unused of them, ``unused`` being the columns no assigned
-row takes; a node whose need exceeds that builds no row and returns before
-it sets up any generation.  The floor (``_Worker._floor``) is the lowest
-degree of a next row whose child still passes the mixed coverage bound,
-which reads only the degrees of the child's rows and its degree limit and
-can only get worse as the new row's degree falls; a node whose floor is
-above its limit builds no row.  So ``candidates`` takes ``tight``, ``need``
-and the floor.  It generates a row as interval columns plus a block of
-never-used columns, which lie outside every union, so it tracks how many of
-the interval columns lie outside ``tight``, never enters a branch none of
-whose rows can reach ``need``, and drops the rows below the deficit or the
-floor where they are emitted.  A branch can still add at most one column
-outside ``tight`` per assigned row that meets a later pool outside
-``tight`` and that the branch has not met yet (the same one-meeting
-argument, so pools that share a row count once), plus the never-used
-columns.  The rows it builds are still tested
-against every final union.  The counts are those of the rows tried, which
-are the rows built (see ``SearchStats``).
+Rows that cannot pass the deficit or the floor are never built, nor rows
+whose child could not pass its own deficit.  Let ``tight`` be the first
+union of t-1 assigned rows with the fewest columns, in the order ``unions``
+lists them (colex order of the row subsets): a row with fewer than
+need = n - t + 1 - |tight| columns outside it joins those rows in covering
+at most n - t columns, leaving a complement K_{t,t}.  A next row meets each
+assigned row in at most one column, and its columns outside ``tight`` lie in
+none of those t-1 rows, so it has at most len(rows) - t + 1 + unused of
+them, ``unused`` being the columns no assigned row takes.  A node whose need
+exceeds that has no child, and its parent decides so where it emits the
+node's row: with k rows and U the columns they take, the node's need
+exceeds that bound exactly when its ``tight`` has fewer than |U| - k
+columns.  That ``tight`` is the parent's or one of the node's new unions, a
+union of t-2 of the parent's rows joined by the new row.  The row's
+never-used columns add as much to |U| as to each new union, so they only
+count against the parent's ``tight``, which caps how many a row may take,
+and each union of t-2 rows passes or fails the rest of the row whatever
+their number.  So every non-leaf node the search enters builds its
+candidates or has its floor above its limit.  The floor
+(``_Worker._floor``) is the lowest degree of a next row whose child still
+passes the mixed coverage bound, which reads only the degrees of the
+child's rows and its degree limit and can only get worse as the new row's
+degree falls.  So ``candidates`` takes ``tight``, ``need``, the floor and
+the unions of t-2 rows.  It generates a row as interval columns plus a
+block of never-used columns, which lie outside every union, so it tracks
+how many of the interval columns lie outside ``tight``, never enters a
+branch none of whose rows can reach ``need``, and drops the rows below the
+deficit or the floor, and those whose child fails its own deficit, where
+they are emitted.  A branch can still add at most one column outside
+``tight`` per assigned row that meets a later pool outside ``tight`` and
+that the branch has not met yet (the same one-meeting argument, so pools
+that share a row count once), plus the never-used columns.  The rows it
+builds are still tested against every final union.  The counts are those
+of the rows tried, which are the rows built (see ``SearchStats``).
 
 Disabling every rule leaves a sound pure enumeration.
 """
@@ -151,11 +158,14 @@ class SearchConfig:
 class SearchStats:
     """What one decision did; every count is exact and repeats run to run.
 
-    ``nodes`` is the search nodes expanded, the root included.  ``attempts``
+    ``nodes`` is the search nodes expanded, the root included; no row whose
+    child fails its own column deficit is built, so every node but a leaf
+    builds its candidates or has its floor above its limit.  ``attempts``
     is the rows built and tried as the next row of a node.  ``prunes`` maps
     each rule to its count: ``coverage`` is the tried rows a final union
     rejects; ``canonical-order`` is the rows of the last row's degree that
-    sort above it, among the rows that meet the column deficit;
+    sort above it, among the rows that meet the column deficit and whose
+    child can reach its own;
     ``degree-cap`` is the inner nodes whose degree limit the cap lowered:
     the root under canonical-order, and every inner node without it;
     ``pair-budget`` is always 0.  ``elapsed`` is wall seconds.
@@ -344,14 +354,18 @@ class _Worker:
         intervals: tuple[tuple[int, int, int], ...],
         limit: int,
         floor: int,
-        tight: int,
+        tight: int | None,
         need: int,
+        lower: tuple[int, ...],
     ) -> list[list[int]]:
         """Extendable row masks after ``rows`` of degree ``floor`` to ``limit``
-        with at least ``need`` columns outside ``tight``, in one bucket per
-        degree (``by_deg[d]`` for d = 0..limit, empty below the floor), each
-        column-lex-descending.  Adds its canonical-order prunes, counted
-        among the rows that meet the deficit, to ``self.prunes``.
+        with at least ``need`` columns outside ``tight`` (None when there is
+        no union of t - 1 rows) and whose child, unless it is a leaf, can
+        reach its own column deficit, in one bucket per degree (``by_deg[d]``
+        for d = 0..limit, empty below the floor), each column-lex-descending.
+        ``lower`` is the unions of t - 2 of ``rows`` that the child joins to
+        its row, empty with coverage off.  Adds its canonical-order prunes,
+        counted among the rows it would otherwise build, to ``self.prunes``.
 
         No sort is needed: within one degree no candidate extends another, so
         emitting each subset after its extensions, taken in increasing column
@@ -360,7 +374,10 @@ class _Worker:
         ``tight`` is never entered: that is when the assigned rows that meet
         its later pools outside ``tight``, and that it has not met, are too
         few, since a row takes at most one column of each assigned row.  An
-        emission point first drops the rows below the deficit or the floor.
+        emission point first drops the rows below the deficit or the floor,
+        then those whose child fails its own deficit (see the module
+        docstring): all of them when a union in ``lower`` fails its pool
+        part, else those with more never-used columns than ``tight`` allows.
         With canonical-order on and the last row of degree ``limit``, the
         rows of that degree that sort above the last row come first in its
         bucket: each is a canonical-order prune, until one passes and so do
@@ -384,6 +401,46 @@ class _Worker:
             if not incidence:
                 u, max_new = start, length
                 intervals = intervals[:-1]
+
+        # the child's own deficit: a child of k1 < m rows has a deficit no
+        # next row can reach when its first smallest union of t - 1 rows,
+        # ``tight`` or a union S in ``lower`` joined by its row, has fewer
+        # than |U| - k1 columns, U the columns the child's rows take (see the
+        # module docstring).  No such row is emitted.  A row's never-used
+        # columns add to |U| and to |S ∪ row| alike, so they can only fail
+        # ``tight``, past ``spare`` of them.  Under canonical-order they are
+        # the new block, so ``spare`` caps ``max_new``, and S fails every row
+        # through a pool part P or none: when |S ∪ P| < |U| - k1.  That needs
+        # |S| < |U| - k1 and, as P meets each of S's t - 2 rows at most once,
+        # |P| < ``sdoom``.  The smallest S, tried first, fail most often.
+        # Without canonical-order P may hold never-used columns, ``fresh``;
+        # each S takes them too, and so does the deficit, and every emission
+        # point is tested
+        k1 = len(rows) + 1
+        sdoom = spare = fresh = deficit = 0
+        if k1 < self.m and (tight is not None or lower):
+            if self.canonical_on:
+                used = u if max_new else self.n
+                # S's t - 2 rows each have degree at least ``limit`` and meet
+                # pairwise in at most one column
+                t2 = self.t - 2
+                if t2 * limit - t2 * (t2 - 1) // 2 >= used - k1:
+                    lower = ()
+            else:
+                fresh = ((1 << self.n) - 1) & ~reduce(or_, rows, 0)
+                used = self.n - fresh.bit_count()
+            deficit = used - k1
+            spare = tight.bit_count() - deficit if tight is not None else self.n
+            max_new = spare if spare < max_new else max_new
+            lower = sorted(
+                [s | fresh for s in lower if s.bit_count() < deficit], key=int.bit_count
+            )
+            if not self.canonical_on:
+                sdoom = limit + 1
+            elif lower:
+                sdoom = deficit + self.t - 2 - lower[0].bit_count()
+            deficit += fresh.bit_count()
+        tight = tight or 0
         pools = [
             (1 << start, incidence, not (tight >> start) & 1)
             for start, _length, incidence in intervals
@@ -426,6 +483,12 @@ class _Worker:
                 lo = 0
             if hi < lo:
                 return
+            if odeg < sdoom:
+                for s in lower:
+                    if (s | omask).bit_count() < deficit:
+                        return
+                if (omask & fresh).bit_count() > spare:
+                    return
             if hi == room and last is not None:
                 # the widest row emitted here has the top degree
                 if _lex_le(omask | (((1 << hi) - 1) << u), last):
@@ -459,11 +522,10 @@ class _Worker:
         canonical-order set it to the node's own row degree.  Every entry is
         a node, the root too: it checks the node budget and the deadline,
         once, before it counts itself, and a leaf returns its certificate
-        when it is a good coloring.  An inner node forms only its new unions
-        of t - 1 rows, those holding its own row, and returns with no child
-        to try when no next row can reach the column deficit; only then does
-        it extend the other union levels, return when its floor is above its
-        limit, refine the intervals and build its candidates.
+        when it is a good coloring.  An inner node returns when its floor
+        is above its limit; otherwise it extends its unions, refines the
+        intervals and builds its candidates.  It never returns for its
+        column deficit: its parent only builds rows whose child can reach it.
         """
         if self.nodes == self.node_limit:
             raise _BudgetExceeded
@@ -477,40 +539,31 @@ class _Worker:
         if limit < n and not (rows and self.canonical_on):
             self.prunes[RULE_DEGREE_CAP] += 1
         coverage_on = self.coverage_on
-
-        # the new unions of t - 1 rows join the node's own row to the
-        # parent's unions of t - 2; ``tight`` stays the first smallest union
-        # in the order ``unions`` lists them, the parent's before the new
-        grow = bool(rows) and coverage_on and t > 1
-        row = rows[-1] if rows else 0
-        new = [uv | row for uv in unions[t - 2]] if grow else []
-        if new:
-            least = min(new, key=int.bit_count)
-            if tight is None or least.bit_count() < tight.bit_count():
-                tight = least
-        # a t-subset of assigned rows leaving >= t columns uncovered is final,
-        # whatever rows follow.  A row with fewer than ``need`` columns outside
-        # the smallest final union leaves t columns uncovered with it, so
-        # candidates() never builds such rows
-        uncovered_limit = n - t
-        need = 0
-        if tight is not None:
-            need = uncovered_limit + 1 - tight.bit_count()
-            # a next row meets each assigned row in at most one column, and a
-            # column outside ``tight`` lies in none of its t - 1 rows: it is
-            # never used, or the row's one meeting with another assigned row
-            if need > len(rows) - t + 1 + n - reduce(or_, rows, 0).bit_count():
-                return None
-
         floor = self._floor(rows, limit) if coverage_on else 0
         if floor > limit:
             return None
-        if grow:
+
+        row = rows[-1] if rows else 0
+        if rows and coverage_on and t > 1:
+            # the node's row joins each of the parent's unions of one row
+            # fewer; ``tight`` stays the first smallest union of t - 1 rows
+            # in the order ``unions`` lists them, the parent's before the new
+            new = [uv | row for uv in unions[t - 2]]
+            if new:
+                least = min(new, key=int.bit_count)
+                if tight is None or least.bit_count() < tight.bit_count():
+                    tight = least
             extended = [unions[0]]
             for j in range(1, t - 1):
                 extended.append(unions[j] + tuple([uv | row for uv in unions[j - 1]]))
             extended.append(unions[t - 1] + tuple(new))
             unions = tuple(extended)
+        # a t-subset of assigned rows leaving >= t columns uncovered is final,
+        # whatever rows follow.  A row with fewer than ``need`` columns outside
+        # the smallest final union leaves t columns uncovered with it, so
+        # candidates() never builds such rows
+        uncovered_limit = n - t
+        need = uncovered_limit + 1 - tight.bit_count() if tight is not None else 0
         finals = unions[t - 1] if tight is not None else ()
 
         if rows:
@@ -525,7 +578,8 @@ class _Worker:
                     refined.append((start + c, length - c, incidence))
             intervals = tuple(refined)
 
-        by_deg = self.candidates(rows, intervals, limit, floor, tight or 0, need)
+        lower = unions[t - 2] if coverage_on and t > 1 else ()
+        by_deg = self.candidates(rows, intervals, limit, floor, tight, need, lower)
         for degree in range(limit, floor - 1, -1):
             child_limit = degree if self.canonical_on else limit
             for mask in by_deg[degree]:

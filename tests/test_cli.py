@@ -237,7 +237,7 @@ class TestBrfind:
     def test_budget_trip_exit_4(self, capsys):
         code, out, _ = run(capsys, "brfind", "-m", "6", "-t", "5", "--budget-nodes", "10")
         assert code == 4
-        assert "BR_6(K_{2,2}, K_{5,5}) >= 8 (undecided: budget exhausted at n=8)" in out
+        assert "BR_6(K_{2,2}, K_{5,5}) >= 9 (undecided: budget exhausted at n=9)" in out
 
     def test_limit_reached_exit_4(self, capsys):
         code, out, _ = run(capsys, "brfind", "-m", "4", "-t", "2", "--limit", "3")
@@ -338,6 +338,34 @@ class TestExportCnf:
         finally:
             proc.kill()
             proc.wait()
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_bytes() == b"p cnf 1 1\n1 0\n"
+
+    def test_sigint_removes_temporary_file(self, tmp_path):
+        # interrupted mid-export as by Ctrl-C, the command prints one line,
+        # exits 128 + SIGINT with no traceback, and leaves the target as it
+        # was.  The child gets the default SIGINT action, which Python turns
+        # into KeyboardInterrupt, even where this run ignores SIGINT
+        target = tmp_path / "inst.cnf"
+        target.write_bytes(b"p cnf 1 1\n1 0\n")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "biramsey.cli", "export-cnf",
+             "-m", "7", "-n", "30", "-t", "5", "-o", str(target)],
+            env=_subprocess_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True, preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not list(tmp_path.glob("inst.cnf.*.part")):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+            assert proc.returncode == 128 + signal.SIGINT
+        finally:
+            proc.kill()
+            proc.wait()
+        assert err == "interrupted\n"
         assert list(tmp_path.iterdir()) == [target]
         assert target.read_bytes() == b"p cnf 1 1\n1 0\n"
 

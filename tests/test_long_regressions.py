@@ -2,8 +2,8 @@
 scratch, and orbit completeness of orderly generation at 5x5 and 4x6.
 
 Run with ``BIRAMSEY_LONG_TESTS=1 pytest tests/test_long_regressions.py``;
-about half a minute total (three runs on a 2-core machine: 31, 31 and
-33 s; the orbit tests take about 8 s of that).
+about half a minute total (29 s on a 2-core machine, 18 s of it the m=13
+scan; the orbit tests take about 5 s).
 The default suite stays compact, so these are skipped unless asked for.
 """
 

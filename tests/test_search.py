@@ -163,9 +163,9 @@ class TestDeficitReach:
         # engine-free: a row meeting each assigned row in at most one column
         # has at most len(rows) - t + 1 + unused columns outside the union of
         # any t - 1 of the rows, ``unused`` being the columns no row takes.
-        # _Worker._dfs returns before building candidates when the column
-        # deficit exceeds this.  Some draws meet the bound, so a bound one
-        # tighter fails here
+        # _Worker.candidates builds no row whose child's column deficit
+        # exceeds this.  Some draws meet the bound, so a bound one tighter
+        # fails here
         attained = 0
 
         @settings(max_examples=500, deadline=None)
@@ -218,6 +218,64 @@ class TestDeficitReach:
             )
             assert most <= bound, (n, t, rows, subset, partial)
             attained += most == bound
+
+        check()
+        assert attained > 0
+
+
+def child_fails_deficit(rows: list[int], mask: int, n: int, t: int) -> bool:
+    """Engine-free: True when the child ``rows + [mask]`` has a column deficit
+    no next row can reach.  Its need, n - t + 1 less the fewest columns of a
+    union of t - 1 of its rows, exceeds the len - t + 1 + unused columns a
+    row meeting each of its rows at most once can take outside such a union;
+    with fewer than t - 1 rows it has no deficit."""
+    child = rows + [mask]
+    unions = [reduce(or_, subset, 0) for subset in combinations(child, t - 1)]
+    if not unions:
+        return False
+    need = n - t + 1 - min(union.bit_count() for union in unions)
+    return need > len(child) - t + 1 + n - reduce(or_, child, 0).bit_count()
+
+
+class TestChildDeficit:
+    def test_closed_form_is_the_child_exit(self):
+        # engine-free: with k assigned rows, U the columns they take and
+        # D = |U| - k - 1, a row with pool part P = row & U and b never-used
+        # columns has a child that fails its deficit exactly when b exceeds
+        # |T| - D, T the smallest union of t - 1 of the rows, or some union S
+        # of t - 2 of them has |S ∪ P| < D.  Such an S also has |S| < D and
+        # |P| < D - |S| + t - 2, the bounds _Worker.candidates skips by.
+        # Some draws meet the child's bound with equality, so a closed form
+        # one off fails here
+        attained = 0
+
+        @settings(max_examples=400, deadline=None)
+        @given(st.data())
+        def check(data):
+            nonlocal attained
+            t, n, rows = draw_rows(data)
+            # as few as t - 2 rows: then there is no T, only the one S
+            rows = rows[: data.draw(st.integers(max(t - 2, 0), len(rows)), label="k")]
+            k, used = len(rows), reduce(or_, rows, 0)
+            deficit = used.bit_count() - k - 1
+            finals = [reduce(or_, c, 0) for c in combinations(rows, t - 1)]
+            spare = min(u.bit_count() for u in finals) - deficit if finals else n
+            lower = [reduce(or_, c, 0) for c in combinations(rows, t - 2)] if t > 1 else []
+            for mask in range(1 << n):
+                if any((mask & row).bit_count() > 1 for row in rows):
+                    continue
+                part, b = mask & used, (mask & ~used).bit_count()
+                failing = [s for s in lower if (s | part).bit_count() < deficit]
+                for s in failing:
+                    assert s.bit_count() < deficit, (n, t, rows, mask)
+                    assert part.bit_count() < deficit - s.bit_count() + t - 2, (n, t, rows, mask)
+                closed = b > spare or bool(failing)
+                assert closed == child_fails_deficit(rows, mask, n, t), (n, t, rows, mask)
+                child = rows + [mask]
+                unions = [reduce(or_, c, 0) for c in combinations(child, t - 1)]
+                if unions:
+                    need = n - t + 1 - min(u.bit_count() for u in unions)
+                    attained += need == len(child) - t + 1 + n - reduce(or_, child, 0).bit_count()
 
         check()
         assert attained > 0
@@ -408,26 +466,26 @@ class TestArrows:
         assert out.verdict == NOT_ARROWS
         assert out.certificate.graph == witness_6x39()
         # the exact tree walked, so a change that shifts counting shows up
-        assert (out.stats.nodes, out.stats.attempts) == (2165, 2164)
+        assert (out.stats.nodes, out.stats.attempts) == (47, 46)
         assert out.stats.prunes == {
             RULE_DEGREE_CAP: 1,
             RULE_PAIR_BUDGET: 0,
             RULE_COVERAGE: 0,
-            RULE_CANONICAL: 209,
+            RULE_CANONICAL: 2,
         }
 
     def test_upper_bound_m7_t5(self):
-        # the upper-bound half of BR_7(K_{2,2}, K_{5,5}) = 30, about 5 s
+        # the upper-bound half of BR_7(K_{2,2}, K_{5,5}) = 30, under a second
         out = arrows(ArrowingInstance(7, 30, 5))
         assert out.verdict == ARROWS
-        assert out.stats.nodes == 132987
+        assert out.stats.nodes == 13396
 
     def test_lower_bound_m7_t5_unseeded(self):
-        # its lower-bound half, found by the search itself, about 3 s
+        # its lower-bound half, found by the search itself, under a second
         out = arrows(ArrowingInstance(7, 29, 5))
         assert out.verdict == NOT_ARROWS
         assert out.certificate.valid
-        assert out.stats.nodes == 97983
+        assert out.stats.nodes == 8364
 
     def test_arrows_counts_pinned(self):
         # the exact trees of ARROWS decisions: the t=4 instances of the
@@ -437,15 +495,15 @@ class TestArrows:
         # t=2 rows without canonical-order pin the floor at the subset size
         # that binds when rows do not fall in degree
         cases = (
-            (8, 19, 4, None, 1896, 2539, 1, 644, 692),
-            (8, 20, 4, None, 643, 787, 1, 145, 316),
-            (6, 23, 4, None, 644, 748, 1, 105, 182),
-            (8, 16, 4, None, 4717, 36884, 1, 32168, 8686),
-            (5, 12, 3, None, 36, 47, 1, 12, 7),
-            (5, 12, 3, RULE_DEGREE_CAP, 64, 75, 0, 12, 8),
+            (8, 19, 4, None, 495, 529, 1, 35, 93),
+            (8, 20, 4, None, 203, 211, 1, 9, 47),
+            (6, 23, 4, None, 106, 105, 1, 0, 13),
+            (8, 16, 4, None, 3825, 34263, 1, 30439, 7806),
+            (5, 12, 3, None, 16, 15, 1, 0, 1),
+            (5, 12, 3, RULE_DEGREE_CAP, 38, 37, 0, 0, 1),
             (5, 12, 3, RULE_COVERAGE, 37385, 37384, 1, 0, 12224),
-            (3, 7, 2, RULE_CANONICAL, 176, 175, 176, 0, 0),
-            (5, 6, 2, RULE_CANONICAL, 1796, 2875, 1796, 1080, 0),
+            (3, 7, 2, RULE_CANONICAL, 36, 35, 36, 0, 0),
+            (5, 6, 2, RULE_CANONICAL, 1656, 2375, 1656, 720, 0),
         )
         for m, n, t, off, nodes, attempts, cap, coverage, canonical in cases:
             cfg = SearchConfig(disabled_rules=frozenset({off} if off else ()))
@@ -589,14 +647,16 @@ class TestDeterminism:
     def test_search_fingerprint_pinned(self):
         # verdict, witness masks, nodes, attempts and every prune count of
         # unbudgeted searches, hashed: a change that moves any count or
-        # witness of these trees changes the digest.  The tree digest holds
-        # only what the tree itself fixes (verdict, witness masks, nodes and
-        # degree-cap prunes), so it stays put when the rows a node lists,
-        # and so its attempts, change while the nodes it expands do not.
-        # Without coverage every extendable row is built and tried, so the
-        # counts of those searches have their own digest.  Every witness
+        # witness of these trees changes the digest.  The answers digest
+        # holds only the verdicts, witness masks and find_br_m records, so a
+        # change that only prunes more stays put there.  The tree digest
+        # holds only what the tree itself fixes (verdict, witness masks,
+        # nodes and degree-cap prunes), so it stays put when the rows a node
+        # lists, and so its attempts, change while the nodes it expands do
+        # not.  Without coverage every extendable row is built and tried, so
+        # the counts of those searches have their own digest.  Every witness
         # found with canonical-order on must meet the spec of that rule
-        rows, tree, uncovered, canonical_witnesses = [], [], [], []
+        answers, rows, tree, uncovered, canonical_witnesses = [], [], [], [], []
 
         def case(m, n, t, off=frozenset()):
             cfg = SearchConfig(disabled_rules=off)
@@ -605,6 +665,7 @@ class TestDeterminism:
             if masks is not None and cfg.enabled(RULE_CANONICAL):
                 assert is_canonical_assignment(out.certificate.graph), (m, n, t, off)
                 canonical_witnesses.append(masks)
+            answers.append([m, n, t, sorted(off), verdict, masks])
             rows.append([m, n, t, sorted(off), verdict, masks, nodes, attempts, prunes])
             tree.append([m, n, t, sorted(off), verdict, masks, nodes,
                          prunes[RULE_DEGREE_CAP]])
@@ -632,17 +693,22 @@ class TestDeterminism:
             record = find_br_m(m, t, n_limit)
             masks = record.certificate.graph.row_masks if record.certificate else None
             rows.append([m, t, n_limit, record.status, record.value, record.bound, masks])
+            answers.append(rows[-1])
             tree.append(rows[-1])
 
-        assert len(rows) == len(tree) == 639
+        assert len(answers) == len(rows) == len(tree) == 639
         assert len(canonical_witnesses) == 343
+        digest = hashlib.sha256(json.dumps(answers).encode()).hexdigest()
+        assert digest == (
+            "689b96120c9a50ecb3eb3b4ae5e9b4bbab5016a0237399bd4d36e063e8d83bce"
+        ), digest
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
         assert digest == (
-            "ab20e712c2c730df66e4932edb42657e57f383026f01357695d35e38b236c7f4"
+            "4e74da775c96b73851394c24dddf989efa833ba443925a9abe6336c94cf6bab3"
         ), digest
         digest = hashlib.sha256(json.dumps(tree).encode()).hexdigest()
         assert digest == (
-            "73023b11fa329041f8e9de46fdb53623efb79673b40d1d748d661ff8dc9ca313"
+            "15a6904a762e4d1baab7461cc83b2dfe3a4b8d15c9d37a56f6f527c8a260961f"
         ), digest
         assert len(uncovered) == 273
         digest = hashlib.sha256(json.dumps(uncovered).encode()).hexdigest()
@@ -654,15 +720,16 @@ class TestDeterminism:
         # at every node the candidates are exactly the C4-compatible (and, with
         # canonical-order on, interval-prefix) rows up to the degree limit that
         # take at least ``need`` columns outside ``tight``, the first smallest
-        # union of t-1 assigned rows, and reach the floor; they come in one bucket
-        # per degree, and read degree-descending they are
+        # union of t-1 assigned rows, reach the floor, and, with coverage on,
+        # give a child that is a leaf or can reach its own deficit; they come
+        # in one bucket per degree, and read degree-descending they are
         # column-lex-descending.  The canonical-order prunes are the rows
         # among them tying the last row's degree that sort above it
         original = _Worker.candidates
-        checked = unbuilt = at_need = over_limit = below_floor = 0
+        checked = unbuilt = at_need = over_limit = below_floor = doomed = 0
 
-        def checked_candidates(worker, rows, intervals, limit, floor, tight, need):
-            nonlocal checked, unbuilt, at_need, over_limit, below_floor
+        def checked_candidates(worker, rows, intervals, limit, floor, tight, need, lower):
+            nonlocal checked, unbuilt, at_need, over_limit, below_floor, doomed
             checked += 1
             n, t, canonical = worker.n, worker.t, worker.canonical_on
             # the limit: the degree cap when ``cfg``, the config the loops
@@ -676,15 +743,19 @@ class TestDeterminism:
             # n - t + 1 columns covered, or t columns stay uncovered.  ``tight``
             # is the first smallest union in colex order of the row subsets,
             # the order the engine lists them in
-            unions = []
-            if worker.coverage_on:
-                subsets = sorted(combinations(range(len(rows)), t - 1), key=lambda s: s[::-1])
-                unions = [reduce(or_, (rows[i] for i in s), 0) for s in subsets]
+            def colex_unions(j):
+                subsets = sorted(combinations(range(len(rows)), j), key=lambda s: s[::-1])
+                return [reduce(or_, (rows[i] for i in s), 0) for s in subsets]
+
+            unions = colex_unions(t - 1) if worker.coverage_on else []
             if unions:
                 assert tight == min(unions, key=int.bit_count), rows
                 assert need == n - t + 1 - tight.bit_count(), rows
             else:
-                assert (tight, need) == (0, 0), rows
+                assert (tight, need) == (None, 0), rows
+            # ``lower``: the unions of t-2 rows the child joins to its row
+            want_lower = colex_unions(t - 2) if worker.coverage_on and t > 1 else []
+            assert list(lower) == want_lower, rows
             over_limit += need > limit
             # a node whose floor is above its limit builds nothing, and
             # without coverage there is no floor
@@ -692,8 +763,10 @@ class TestDeterminism:
             assert worker.coverage_on or floor == 0, rows
 
             before = worker.prunes[RULE_CANONICAL]
-            out = original(worker, rows, intervals, limit, floor, tight, need)
+            out = original(worker, rows, intervals, limit, floor, tight, need, lower)
             tied = worker.prunes[RULE_CANONICAL] - before
+            tight = tight or 0
+            leaf = len(rows) + 1 == worker.m
 
             intervals = [(0, n)]
             for row in rows if canonical else ():
@@ -710,6 +783,9 @@ class TestDeterminism:
                     at_need += mask.bit_count() >= need
                 elif mask.bit_count() < floor:
                     below_floor += 1
+                elif worker.coverage_on and not leaf and child_fails_deficit(
+                        list(rows), mask, n, t):
+                    doomed += 1
                 elif (canonical and rows and mask.bit_count() == rows[-1].bit_count()
                         and not _lex_le(mask, rows[-1])):
                     above += 1
@@ -748,6 +824,8 @@ class TestDeterminism:
         assert below_floor > 0
         # a deficit above the limit: no row is built
         assert over_limit > 0
+        # nor are rows whose child cannot reach its own deficit
+        assert doomed > 0
 
     def test_early_return_counts_exact(self):
         # a search that returns through a child, on a good leaf or a budget
@@ -759,7 +837,7 @@ class TestDeterminism:
             (4, 5, 2, None, NOT_ARROWS, 5, 4, 1, 0, 0),
             (5, 3, 2, None, NOT_ARROWS, 10, 11, 0, 2, 1),
             (6, 3, 2, None, NOT_ARROWS, 11, 13, 0, 3, 1),
-            (4, 7, 2, 2, BUDGET_EXHAUSTED, 2, 2, 1, 0, 0),
+            (4, 7, 2, 1, BUDGET_EXHAUSTED, 1, 1, 1, 0, 0),
             (8, 12, 4, 8, BUDGET_EXHAUSTED, 8, 9, 1, 1, 0),
         )
         for m, n, t, budget, verdict, nodes, attempts, cap, coverage, canonical in cases:
@@ -815,10 +893,41 @@ class TestDeterminism:
         assert roots_alone > 0
         assert tripped_runs == 4
 
-    def test_candidates_skipped_where_no_row_meets_the_deficit(self, monkeypatch):
-        # a node whose column deficit no next row can reach returns before
-        # it refines its intervals and calls candidates(), so most nodes of
-        # these trees never call it.  Pinned: dropping that exit moves them
+    def test_no_node_entered_fails_its_deficit(self, monkeypatch):
+        # the parent decides each child's column deficit where it emits the
+        # child's row, so no non-leaf node the search enters has a deficit
+        # no next row can reach (checked engine-free, with coverage on, the
+        # only rule that gives a node a deficit)
+        original = _Worker._dfs
+        entered = 0
+
+        def checked(worker, rows, *args):
+            nonlocal entered
+            if rows and len(rows) < worker.m and worker.coverage_on:
+                entered += 1
+                assert not child_fails_deficit(
+                    list(rows[:-1]), rows[-1], worker.n, worker.t), rows
+            return original(worker, rows, *args)
+
+        monkeypatch.setattr(_Worker, "_dfs", checked)
+        for t in (1, 2, 3):
+            for m in range(1, 7):
+                for n in range(1, 9):
+                    if m * n <= 24:
+                        for off in ((), (RULE_DEGREE_CAP,), (RULE_CANONICAL,),
+                                    (RULE_DEGREE_CAP, RULE_CANONICAL)):
+                            arrows(ArrowingInstance(m, n, t),
+                                   SearchConfig(disabled_rules=frozenset(off)))
+        for m, n, t in ((7, 8, 3), (8, 12, 4), (6, 23, 4), (6, 30, 5)):
+            arrows(ArrowingInstance(m, n, t))
+        assert entered > 1000
+
+    def test_nodes_are_the_parent_candidate_calls(self, monkeypatch):
+        # an ARROWS tree holds only the nodes that build their candidates:
+        # the nodes that called candidates() when nodes still returned at
+        # their deficit (495, 203, 106 and 930 calls of 1896, 643, 644 and
+        # 14433 nodes).  Pinned: a parent that builds a doomed child moves
+        # them
         original = _Worker.candidates
         calls = 0
 
@@ -828,13 +937,11 @@ class TestDeterminism:
             return original(worker, *args)
 
         monkeypatch.setattr(_Worker, "candidates", counted)
-        cases = ((8, 19, 4, 1896, 495), (8, 20, 4, 643, 203), (6, 23, 4, 644, 106),
-                 (6, 40, 5, 14433, 930))
-        for m, n, t, nodes, candidate_calls in cases:
+        cases = ((8, 19, 4, 495), (8, 20, 4, 203), (6, 23, 4, 106), (6, 40, 5, 930))
+        for m, n, t, nodes in cases:
             calls = 0
             out = arrows(ArrowingInstance(m, n, t))
-            assert (out.verdict, out.stats.nodes, calls) == (ARROWS, nodes, candidate_calls), (
-                m, n, t)
+            assert (out.verdict, out.stats.nodes, calls) == (ARROWS, nodes, nodes), (m, n, t)
 
 
 class TestAblation:
