@@ -24,16 +24,16 @@ it; its prune count is always 0.
 The search is one serial depth-first pass from the root.  Its state is the
 argument list of ``_Worker._dfs``: three immutable tuples, the assigned
 rows, the runs of interchangeable columns (with the rows incident to each)
-and the column unions of the j-subsets of rows for j < t, plus the next
-row's degree limit and ``tight`` (below).  The root's limit is the degree
-cap (n with degree-cap off); a parent passes each child the child's own row
-degree under canonical-order, else its own limit.  That is exact: under
-canonical-order each row's degree is at most the first row's, itself at
-most the cap.  A node receives its parent's runs, unions and ``tight``; a
-leaf only verifies itself.  An inner node extends its unions by its own row,
-which updates ``tight``, returns when its floor (below) is above its limit,
-and otherwise refines the runs by its row and builds its candidates.
-Nothing is restored on return.
+and the column unions of the j-subsets of rows for j < t.  A node receives
+its parent's runs and unions and works out everything else from its rows;
+a leaf only verifies itself.  An inner node's degree limit for the next row
+is its own row degree under canonical-order, else the degree cap (n with
+degree-cap off).  That is exact: under canonical-order each row's degree is
+at most the first row's, itself at most the cap.  The node returns when its
+floor (below) is above its limit, which only the root can meet; otherwise
+it extends its unions by its own row, takes ``tight`` (below) from them,
+refines the runs by its row and builds its candidates.  Nothing is
+restored on return.
 
 Rows that cannot pass the deficit or the floor are never built, nor rows
 whose child could not pass its own deficit.  Let ``tight`` be the first
@@ -52,23 +52,25 @@ union of t-2 of the parent's rows joined by the new row.  The row's
 never-used columns add as much to |U| as to each new union, so they only
 count against the parent's ``tight``, which caps how many a row may take,
 and each union of t-2 rows passes or fails the rest of the row whatever
-their number.  So every non-leaf node the search enters builds its
-candidates or has its floor above its limit.  The floor
-(``_Worker._floor``) is the lowest degree of a next row whose child still
-passes the mixed coverage bound, which reads only the degrees of the
-child's rows and its degree limit and can only get worse as the new row's
-degree falls.  So ``candidates`` takes ``tight``, ``need``, the floor and
-the unions of t-2 rows.  It generates a row as interval columns plus a
-block of never-used columns, which lie outside every union, so it tracks
-how many of the interval columns lie outside ``tight``, never enters a
-branch none of whose rows can reach ``need``, and drops the rows below the
-deficit or the floor, and those whose child fails its own deficit, where
-they are emitted.  A branch can still add at most one column outside
-``tight`` per assigned row that meets a later pool outside ``tight`` and
-that the branch has not met yet (the same one-meeting argument, so pools
-that share a row count once), plus the never-used columns.  The rows it
-builds are still tested against every final union.  The counts are those
-of the rows tried, which are the rows built (see ``SearchStats``).
+their number.  The floor (``_Worker._floor``) is the lowest degree of a
+next row whose child still passes the mixed coverage bound, which reads
+only the degrees of the child's rows and its degree limit and can only get
+worse as the new row's degree falls.  A parent builds no row below its
+floor, and then the child's floor is at most the child's limit, so every
+non-leaf node the search enters builds its candidates, except a root whose
+floor is above its limit.  So ``candidates`` takes ``tight``, ``need``,
+the floor and the unions of t-2 rows.  It generates a row as interval
+columns plus a block of never-used columns, which lie outside every union,
+so it tracks how many of the interval columns lie outside ``tight``, never
+enters a branch none of whose rows can reach ``need``, and drops the rows
+below the deficit or the floor, and those whose child fails its own
+deficit, where they are emitted.  A branch can still add at most one
+column outside ``tight`` per assigned row that meets a later pool outside
+``tight`` and that the branch has not met yet (the same one-meeting
+argument, so pools that share a row count once), plus the never-used
+columns.  The rows it builds are still tested against every final union.
+The counts are those of the rows tried, which are the rows built (see
+``SearchStats``).
 
 Disabling every rule leaves a sound pure enumeration.
 """
@@ -117,6 +119,12 @@ class ArrowingInstance:
             raise UsageError(f"need m, n, t >= 1, got m={self.m} n={self.n} t={self.t}")
 
 
+def _number(value, kinds) -> bool:
+    """True iff ``value`` is an instance of ``kinds`` and no bool: a bool is an
+    int, but True is no count of threads, nodes or seconds."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Budgets and per-rule pruning toggles (for ablation).
@@ -137,14 +145,15 @@ class SearchConfig:
     disabled_rules: frozenset = frozenset()
 
     def __post_init__(self):
-        if not isinstance(self.threads, int) or self.threads < 1:
-            raise UsageError(f"threads must be an int >= 1, got {self.threads!r}")
-        budget = self.node_budget  # a fractional budget would never be met
-        if budget is not None and (not isinstance(budget, int) or budget < 1):
+        threads, budget, secs = self.threads, self.node_budget, self.time_budget
+        if not _number(threads, int) or threads < 1:
+            raise UsageError(f"threads must be an int >= 1, got {threads!r}")
+        # a fractional node budget would never be met
+        if budget is not None and (not _number(budget, int) or budget < 1):
             raise UsageError(f"node budget must be an int >= 1, got {budget!r}")
         # written so that NaN fails too: a NaN deadline would never trip
-        if self.time_budget is not None and not self.time_budget > 0:
-            raise UsageError(f"time budget must be positive, got {self.time_budget}")
+        if secs is not None and not (_number(secs, (int, float)) and secs > 0):
+            raise UsageError(f"time budget must be positive, got {secs!r}")
         unknown = set(self.disabled_rules) - set(PRUNE_RULES)
         if unknown:
             raise UsageError(f"unknown pruning rules: {sorted(unknown)}")
@@ -158,17 +167,17 @@ class SearchConfig:
 class SearchStats:
     """What one decision did; every count is exact and repeats run to run.
 
-    ``nodes`` is the search nodes expanded, the root included; no row whose
-    child fails its own column deficit is built, so every node but a leaf
-    builds its candidates or has its floor above its limit.  ``attempts``
-    is the rows built and tried as the next row of a node.  ``prunes`` maps
-    each rule to its count: ``coverage`` is the tried rows a final union
-    rejects; ``canonical-order`` is the rows of the last row's degree that
-    sort above it, among the rows that meet the column deficit and whose
-    child can reach its own;
-    ``degree-cap`` is the inner nodes whose degree limit the cap lowered:
-    the root under canonical-order, and every inner node without it;
-    ``pair-budget`` is always 0.  ``elapsed`` is wall seconds.
+    ``nodes`` is the search nodes expanded, the root included; no row below
+    the floor, or whose child fails its own column deficit, is built, so
+    every node but a leaf builds its candidates, except a root whose floor
+    is above its limit.  ``attempts`` is the rows built and tried as the
+    next row of a node.  ``prunes`` maps each rule to its count:
+    ``coverage`` is the tried rows a final union rejects;
+    ``canonical-order`` is the rows of the last row's degree that sort
+    above it, among the rows that meet the column deficit and whose child
+    can reach its own; ``degree-cap`` is the inner nodes whose degree limit
+    the cap lowered: the root under canonical-order, and every inner node
+    without it; ``pair-budget`` is always 0.  ``elapsed`` is wall seconds.
     """
 
     nodes: int
@@ -279,9 +288,9 @@ class _BudgetExceeded(Exception):
 
 class _Worker:
     """One deterministic depth-first search.  The search position is the
-    arguments of ``_dfs``, the immutable ``rows``, ``intervals`` and
-    ``unions`` and the ``limit`` the parent passes (see the module
-    docstring); the worker holds only the instance, the root's degree
+    arguments of ``_dfs``, the immutable ``rows`` and the ``intervals`` and
+    ``unions`` built from them (see the module docstring); a node works out
+    the rest itself.  The worker holds only the instance, the root's degree
     limit, the rule toggles, the budgets and the counts."""
 
     def __init__(self, inst: ArrowingInstance, cfg: SearchConfig):
@@ -312,9 +321,7 @@ class _Worker:
         # unions[j] holds the column unions of all j-subsets of assigned rows;
         # extended only while coverage is on, the only rule that reads them
         unions: tuple[tuple[int, ...], ...] = ((0,),) + ((),) * (self.t - 1)
-        # the first smallest union of t - 1 rows: with t = 1 the empty union
-        tight = min(unions[-1], default=None) if self.coverage_on else None
-        return self._dfs((), intervals, unions, self.root_limit, tight)
+        return self._dfs((), intervals, unions)
 
     def _floor(self, rows: tuple[int, ...], limit: int) -> int:
         """The lowest degree of a row after ``rows`` whose child passes the
@@ -329,6 +336,15 @@ class _Worker:
         least d that takes this above n - t.  Without it fb is the constant
         ``limit``, at least every degree, so the most bind: the t - 1 rows of
         least degree.  Either way the bound only gets worse as d falls.
+
+        Only the root can have its floor above its limit.  Under
+        canonical-order a parent builds a row of degree d only when
+        s + (t - r) * d > n - t, and the child's check at d, its limit, sums
+        the same: its last r + 1 rows, s + d, plus (t - r - 1) * d, or t * d
+        on both sides where no assigned row binds.  Without it a next row of
+        degree ``limit`` leaves the sum unchanged, as it joins the t - 1
+        least degrees only in place of a future row, which counted ``limit``
+        too; so it passes whenever the child's own row did.
         """
         t, n = self.t, self.n
         future = self.m - len(rows) - 1  # rows still to come below the child
@@ -378,7 +394,7 @@ class _Worker:
         then those whose child fails its own deficit (see the module
         docstring): all of them when a union in ``lower`` fails its pool
         part, else those with more never-used columns than ``tight`` allows.
-        With canonical-order on and the last row of degree ``limit``, the
+        With canonical-order on, ``limit`` is the last row's degree, and the
         rows of that degree that sort above the last row come first in its
         bucket: each is a canonical-order prune, until one passes and so do
         all later ones.
@@ -386,9 +402,7 @@ class _Worker:
         by_deg: list[list[int]] = [[] for _ in range(limit + 1)]
         tied = 0
         # the row no top-degree row may sort above, until one does not
-        last = None
-        if self.canonical_on and rows and rows[-1].bit_count() == limit:
-            last = rows[-1]
+        last = rows[-1] if self.canonical_on and rows else None
 
         # a row takes the first column of some incidence-disjoint intervals
         # (pools) plus, with canonical-order on, a leading block of the
@@ -421,11 +435,6 @@ class _Worker:
         if k1 < self.m and (tight is not None or lower):
             if self.canonical_on:
                 used = u if max_new else self.n
-                # S's t - 2 rows each have degree at least ``limit`` and meet
-                # pairwise in at most one column
-                t2 = self.t - 2
-                if t2 * limit - t2 * (t2 - 1) // 2 >= used - k1:
-                    lower = ()
             else:
                 fresh = ((1 << self.n) - 1) & ~reduce(or_, rows, 0)
                 used = self.n - fresh.bit_count()
@@ -508,24 +517,22 @@ class _Worker:
         rows: tuple[int, ...],
         intervals: tuple[tuple[int, int, int], ...],
         unions: tuple[tuple[int, ...], ...],
-        limit: int,
-        tight: int | None,
     ) -> WitnessCertificate | None:
         """The certificate of the first good coloring at or below this node, or None.
 
         ``intervals`` and ``unions`` describe ``rows[:-1]``, the parent's
-        rows, and ``tight`` is the parent's first smallest union of t - 1
-        rows (None when there is none, or coverage is off); the node
-        updates all three by its own row.  ``limit`` is the next row's degree
-        limit, which the parent passes (see the module docstring); a limit
-        below n is the degree cap's, and counted as its prune, except where
-        canonical-order set it to the node's own row degree.  Every entry is
-        a node, the root too: it checks the node budget and the deadline,
-        once, before it counts itself, and a leaf returns its certificate
-        when it is a good coloring.  An inner node returns when its floor
-        is above its limit; otherwise it extends its unions, refines the
-        intervals and builds its candidates.  It never returns for its
-        column deficit: its parent only builds rows whose child can reach it.
+        rows; the node extends both by its own row.  Every entry is a node,
+        the root too: it checks the node budget and the deadline, once,
+        before it counts itself, and a leaf returns its certificate when it
+        is a good coloring.  An inner node works out its degree limit (see
+        the module docstring; a limit below n is the degree cap's, and
+        counted as its prune, except where canonical-order set it to the
+        node's own row degree) and its floor, and returns when the floor is
+        above the limit, which only the root can meet.  Otherwise it extends
+        its unions, takes ``tight`` from its unions of t - 1 rows,
+        refines the intervals and builds its candidates.  It never returns
+        for its column deficit: its parent only builds rows whose child can
+        reach it.
         """
         if self.nodes == self.node_limit:
             raise _BudgetExceeded
@@ -536,6 +543,7 @@ class _Worker:
         if len(rows) == m:
             cert = verify_good_coloring(BipartiteGraph(m, n, rows), t)
             return cert if cert.valid else None
+        limit = rows[-1].bit_count() if rows and self.canonical_on else self.root_limit
         if limit < n and not (rows and self.canonical_on):
             self.prunes[RULE_DEGREE_CAP] += 1
         coverage_on = self.coverage_on
@@ -545,26 +553,20 @@ class _Worker:
 
         row = rows[-1] if rows else 0
         if rows and coverage_on and t > 1:
-            # the node's row joins each of the parent's unions of one row
-            # fewer; ``tight`` stays the first smallest union of t - 1 rows
-            # in the order ``unions`` lists them, the parent's before the new
-            new = [uv | row for uv in unions[t - 2]]
-            if new:
-                least = min(new, key=int.bit_count)
-                if tight is None or least.bit_count() < tight.bit_count():
-                    tight = least
+            # the node's row joins each of the parent's unions of one row fewer
             extended = [unions[0]]
-            for j in range(1, t - 1):
+            for j in range(1, t):
                 extended.append(unions[j] + tuple([uv | row for uv in unions[j - 1]]))
-            extended.append(unions[t - 1] + tuple(new))
             unions = tuple(extended)
         # a t-subset of assigned rows leaving >= t columns uncovered is final,
         # whatever rows follow.  A row with fewer than ``need`` columns outside
-        # the smallest final union leaves t columns uncovered with it, so
-        # candidates() never builds such rows
+        # ``tight``, the first smallest final union in the order ``unions``
+        # lists them, leaves t columns uncovered with it, so candidates()
+        # never builds such rows
+        finals = unions[t - 1] if coverage_on else ()
+        tight = min(finals, key=int.bit_count, default=None)
         uncovered_limit = n - t
         need = uncovered_limit + 1 - tight.bit_count() if tight is not None else 0
-        finals = unions[t - 1] if tight is not None else ()
 
         if rows:
             # the node's own intervals: refine the parent's by the last row
@@ -581,7 +583,6 @@ class _Worker:
         lower = unions[t - 2] if coverage_on and t > 1 else ()
         by_deg = self.candidates(rows, intervals, limit, floor, tight, need, lower)
         for degree in range(limit, floor - 1, -1):
-            child_limit = degree if self.canonical_on else limit
             for mask in by_deg[degree]:
                 self.attempts += 1
                 for uv in finals:
@@ -589,7 +590,7 @@ class _Worker:
                         self.prunes[RULE_COVERAGE] += 1
                         break
                 else:
-                    found = self._dfs(rows + (mask,), intervals, unions, child_limit, tight)
+                    found = self._dfs(rows + (mask,), intervals, unions)
                     if found is not None:
                         return found
         return None

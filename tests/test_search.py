@@ -624,6 +624,14 @@ class TestBudgets:
         assert SearchConfig(time_budget=float("inf")).time_budget == float("inf")
         with pytest.raises(UsageError):
             SearchConfig(disabled_rules=frozenset({"mystery"}))
+        # a bool is an int, but True would be a budget of one node, one
+        # thread or one second; a string is no number of seconds
+        for field in ("node_budget", "threads", "time_budget"):
+            with pytest.raises(UsageError):
+                SearchConfig(**{field: True})
+        with pytest.raises(UsageError):
+            SearchConfig(time_budget="5")
+        assert SearchConfig(node_budget=5, threads=2, time_budget=3).time_budget == 3
 
 
 class TestDeterminism:
@@ -921,6 +929,32 @@ class TestDeterminism:
         for m, n, t in ((7, 8, 3), (8, 12, 4), (6, 23, 4), (6, 30, 5)):
             arrows(ArrowingInstance(m, n, t))
         assert entered > 1000
+
+    def test_floor_above_limit_only_at_the_root(self, monkeypatch):
+        # a parent builds no row below its floor, and then the child's floor
+        # is at most the child's limit, so the floor exit of _dfs fires only
+        # at the root (see _Worker._floor), which does meet it
+        original = _Worker._floor
+        roots = 0
+
+        def checked(worker, rows, limit):
+            nonlocal roots
+            floor = original(worker, rows, limit)
+            if floor > limit:
+                assert rows == (), (worker.m, worker.n, worker.t, worker.canonical_on, rows)
+                roots += 1
+            return floor
+
+        monkeypatch.setattr(_Worker, "_floor", checked)
+        for t in (1, 2, 3):
+            for m in range(1, 7):
+                for n in range(1, 9):
+                    if m * n <= 24:
+                        for off in ((), (RULE_DEGREE_CAP,), (RULE_CANONICAL,),
+                                    (RULE_DEGREE_CAP, RULE_CANONICAL)):
+                            arrows(ArrowingInstance(m, n, t),
+                                   SearchConfig(disabled_rules=frozenset(off)))
+        assert roots > 0
 
     def test_nodes_are_the_parent_candidate_calls(self, monkeypatch):
         # an ARROWS tree holds only the nodes that build their candidates:
