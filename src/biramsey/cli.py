@@ -160,8 +160,7 @@ def _cmd_fixtures_emit(args) -> int:
     else:
         missing = [flag for flag, v in (("-m", args.m), ("-n", args.n), ("-t", args.t)) if v is None]
         if missing:
-            print(f"error: star needs {' '.join(missing)}", file=sys.stderr)
-            return 2
+            raise UsageError(f"star needs {' '.join(missing)}")
         graph, t = star_witness(args.m, args.n), args.t
     _write_witness(args.path, verify_good_coloring(graph, t))
     # on stderr: the target may be /dev/stdout

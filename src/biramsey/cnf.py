@@ -48,7 +48,7 @@ from math import comb
 from operator import add, and_
 from typing import Iterator, Sequence
 
-from .core import BipartiteGraph, UsageError, columns_from_mask
+from .core import BipartiteGraph, UsageError, check_index, check_sizes, columns_from_mask
 from .search import ArrowingInstance
 from .witnesses import WitnessCertificate, verify_good_coloring
 
@@ -75,8 +75,7 @@ class CnfInstance:
     t: int
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1 or self.t < 1:
-            raise UsageError(f"need m, n, t >= 1, got m={self.m} n={self.n} t={self.t}")
+        check_sizes(m=self.m, n=self.n, t=self.t)
         if self.t > min(self.m, self.n):
             raise UsageError(
                 f"t={self.t} exceeds min(m, n)={min(self.m, self.n)}; "
@@ -95,8 +94,8 @@ class CnfInstance:
 
     def var(self, i: int, j: int) -> int:
         """1-based DIMACS variable for edge (row i, column j), 0-based i, j."""
-        if not (0 <= i < self.m and 0 <= j < self.n):
-            raise UsageError(f"edge ({i}, {j}) out of range for {self.m}x{self.n}")
+        check_index(self.m, "row", i)
+        check_index(self.n, "column", j)
         return i * self.n + j + 1
 
     def clauses(self) -> Iterator[tuple[int, ...]]:

@@ -20,7 +20,31 @@ from typing import Iterable
 
 
 class UsageError(ValueError):
-    """An operation was called outside its contract (bad index, bad pattern)."""
+    """An operation was called outside its contract (bad size, index or pattern)."""
+
+
+def _is_size(value) -> bool:
+    # a bool is an int, but True is no size; False already fails value >= 1
+    return value is not True and isinstance(value, int) and value >= 1
+
+
+def check_sizes(**named) -> None:
+    """Raise UsageError naming every argument that is not an int >= 1.
+
+    Every size, count and limit of the package (m, n, t, a scan limit, a
+    node budget, a thread count) obeys this one rule.
+    """
+    for value in named.values():
+        if not _is_size(value):
+            bad = " ".join(f"{k}={v!r}" for k, v in named.items() if not _is_size(v))
+            raise UsageError(f"need ints >= 1, got {bad}")
+
+
+def check_index(size: int, name: str, *indices) -> None:
+    """Raise UsageError unless every index is an int in 0..size-1; a bool is no index."""
+    for i in indices:
+        if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < size:
+            raise UsageError(f"{name} index must be an int in 0..{size - 1}, got {i!r}")
 
 
 def mask_from_columns(columns: Iterable[int], n: int) -> int:
@@ -32,8 +56,7 @@ def mask_from_columns(columns: Iterable[int], n: int) -> int:
     """
     buf = bytearray((max(n, 0) + 7) >> 3)
     for c in columns:
-        if not 0 <= c < n:
-            raise UsageError(f"column {c} out of range for n={n}")
+        check_index(n, "column", c)
         buf[c >> 3] |= 1 << (c & 7)
     return int.from_bytes(buf, "little")
 
@@ -58,8 +81,7 @@ class BicliqueSpec:
 
     def __post_init__(self):
         # Degenerate patterns are rejected rather than defined vacuously true.
-        if self.s < 1 or self.t < 1:
-            raise UsageError(f"biclique sides must be >= 1, got ({self.s}, {self.t})")
+        check_sizes(s=self.s, t=self.t)
 
 
 @dataclass(frozen=True)
@@ -80,8 +102,7 @@ class BipartiteGraph:
     row_masks: tuple[int, ...]
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise UsageError(f"need m >= 1 and n >= 1, got {self.m}x{self.n}")
+        check_sizes(m=self.m, n=self.n)
         if len(self.row_masks) != self.m:
             raise UsageError(f"expected {self.m} rows, got {len(self.row_masks)}")
         full = (1 << self.n) - 1
@@ -118,8 +139,7 @@ class BipartiteGraph:
 
 def degree(g: BipartiteGraph, i: int) -> int:
     """Number of columns adjacent to row i."""
-    if not 0 <= i < g.m:
-        raise UsageError(f"row index {i} out of range for m={g.m}")
+    check_index(g.m, "row", i)
     return g.row_masks[i].bit_count()
 
 
@@ -130,8 +150,7 @@ def max_row_degree(g: BipartiteGraph) -> int:
 
 def row_intersection_size(g: BipartiteGraph, i: int, j: int) -> int:
     """Size of the common neighbourhood of two distinct rows."""
-    if not (0 <= i < g.m and 0 <= j < g.m):
-        raise UsageError(f"row indices ({i}, {j}) out of range for m={g.m}")
+    check_index(g.m, "row", i, j)
     if i == j:
         raise UsageError("row intersection needs two distinct rows")
     return (g.row_masks[i] & g.row_masks[j]).bit_count()
@@ -216,10 +235,9 @@ def contains_biclique(g: BipartiteGraph, spec: BicliqueSpec) -> bool:
 def union_coverage(g: BipartiteGraph, rows_subset: Iterable[int]) -> CoverageReport:
     """Coverage of the column side by the union of the given rows' neighbourhoods."""
     subset = frozenset(rows_subset)
+    check_index(g.m, "row", *subset)
     union = 0
     for i in subset:
-        if not 0 <= i < g.m:
-            raise UsageError(f"row index {i} out of range for m={g.m}")
         union |= g.row_masks[i]
     covered = union.bit_count()
     return CoverageReport(subset, covered, g.n - covered)
@@ -237,11 +255,7 @@ def pair_budget(g: BipartiteGraph) -> tuple[int, int]:
 
 
 def induced_rows(g: BipartiteGraph, row_indices: Iterable[int]) -> BipartiteGraph:
-    """Restriction of g to the given rows (column side unchanged)."""
+    """Restriction of g to the given rows (column side unchanged); at least one row."""
     indices = tuple(row_indices)
-    for i in indices:
-        if not 0 <= i < g.m:
-            raise UsageError(f"row index {i} out of range for m={g.m}")
-    if not indices:
-        raise UsageError("row restriction needs at least one row")
+    check_index(g.m, "row", *indices)
     return BipartiteGraph(len(indices), g.n, tuple(g.row_masks[i] for i in indices))

@@ -78,11 +78,12 @@ Disabling every rule leaves a sound pure enumeration.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
-from .core import BipartiteGraph, UsageError
+from .core import BipartiteGraph, UsageError, check_sizes
 from .witnesses import (
     EXACT,
     LOWER_BOUND,
@@ -115,14 +116,7 @@ class ArrowingInstance:
     t: int
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1 or self.t < 1:
-            raise UsageError(f"need m, n, t >= 1, got m={self.m} n={self.n} t={self.t}")
-
-
-def _number(value, kinds) -> bool:
-    """True iff ``value`` is an instance of ``kinds`` and no bool: a bool is an
-    int, but True is no count of threads, nodes or seconds."""
-    return isinstance(value, kinds) and not isinstance(value, bool)
+        check_sizes(m=self.m, n=self.n, t=self.t)
 
 
 @dataclass(frozen=True)
@@ -145,19 +139,28 @@ class SearchConfig:
     disabled_rules: frozenset = frozenset()
 
     def __post_init__(self):
-        threads, budget, secs = self.threads, self.node_budget, self.time_budget
-        if not _number(threads, int) or threads < 1:
-            raise UsageError(f"threads must be an int >= 1, got {threads!r}")
+        check_sizes(threads=self.threads)
         # a fractional node budget would never be met
-        if budget is not None and (not _number(budget, int) or budget < 1):
-            raise UsageError(f"node budget must be an int >= 1, got {budget!r}")
-        # written so that NaN fails too: a NaN deadline would never trip
-        if secs is not None and not (_number(secs, (int, float)) and secs > 0):
-            raise UsageError(f"time budget must be positive, got {secs!r}")
-        unknown = set(self.disabled_rules) - set(PRUNE_RULES)
-        if unknown:
-            raise UsageError(f"unknown pruning rules: {sorted(unknown)}")
-        object.__setattr__(self, "disabled_rules", frozenset(self.disabled_rules))
+        if self.node_budget is not None:
+            check_sizes(node_budget=self.node_budget)
+        secs = self.time_budget
+        if secs is not None:
+            # True is no number of seconds (False fails > 0), a NaN deadline
+            # would never trip, and an int too large for a float would
+            # overflow the deadline
+            try:
+                valid = isinstance(secs, (int, float)) and secs is not True and float(secs) > 0
+            except OverflowError:
+                valid = False
+            if not valid:
+                raise UsageError(f"time budget must be positive float seconds, got {secs!r}")
+            object.__setattr__(self, "time_budget", float(secs))
+        rules = self.disabled_rules
+        # a string is iterable, but "coverage" is no set of rule names
+        collection = isinstance(rules, Iterable) and not isinstance(rules, (str, bytes))
+        if not (collection and set(rules) <= set(PRUNE_RULES)):
+            raise UsageError(f"disabled rules must be names in {PRUNE_RULES}, got {rules!r}")
+        object.__setattr__(self, "disabled_rules", frozenset(rules))
 
     def enabled(self, rule: str) -> bool:
         return rule not in self.disabled_rules
@@ -203,8 +206,7 @@ def degree_cap(m: int, n: int, t: int) -> int:
     N(x) in at most one column, so any t of the other rows leave at least
     t of N(x)'s columns untouched.  Hence the cap 2t - 1 in that regime.
     """
-    if m < 1 or n < 1 or t < 1:
-        raise UsageError(f"need m, n, t >= 1, got m={m} n={n} t={t}")
+    check_sizes(m=m, n=n, t=t)
     if m >= t + 1 and n >= 2 * t:
         return 2 * t - 1
     return n
@@ -216,8 +218,7 @@ def nonexistence_criterion(m: int, t: int) -> bool:
     The star's complement has only m - 1 <= t - 1 nonempty rows, so it can
     never host K_{t,t}; no n arrows, hence no finite value exists.
     """
-    if m < 1 or t < 1:
-        raise UsageError(f"need m, t >= 1, got m={m} t={t}")
+    check_sizes(m=m, t=t)
     return m <= t
 
 
@@ -648,8 +649,7 @@ def find_br_m(
     column are a good coloring, so no ARROWS comes before a witness: an
     exact record always carries the good coloring found at n = value - 1.
     """
-    if n_limit < 1:
-        raise UsageError(f"n_limit must be >= 1, got {n_limit}")
+    check_sizes(n_limit=n_limit)
     if nonexistence_criterion(m, t):
         cert = verify_good_coloring(star_witness(m, 2 * t), t)
         return KnownValueRecord(

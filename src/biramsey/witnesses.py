@@ -17,7 +17,9 @@ import re
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import BipartiteGraph, UsageError, columns_from_mask, mask_from_columns, max_row_degree
+from .core import (
+    BipartiteGraph, UsageError, check_sizes, columns_from_mask, mask_from_columns, max_row_degree
+)
 
 WITNESS_FORMAT_HEADER = "biramsey-witness v1"
 
@@ -75,8 +77,7 @@ def star_witness(m: int, n: int) -> BipartiteGraph:
     For m <= t that holds at every n, which is why no finite value exists
     for those m.
     """
-    if m < 1 or n < 1:
-        raise UsageError(f"need m >= 1 and n >= 1, got {m}x{n}")
+    check_sizes(m=m, n=n)
     return BipartiteGraph(m, n, ((1 << n) - 1,) + (0,) * (m - 1))
 
 
@@ -120,8 +121,7 @@ class WitnessCertificate:
 def verify_good_coloring(g: BipartiteGraph, t: int) -> WitnessCertificate:
     """Check whether g is a good coloring for (K_{2,2}, K_{t,t}): one pass over
     the row pairs and the t-row subsets gives the report and the verdict."""
-    if t < 1:
-        raise UsageError(f"need t >= 1, got {t}")
+    check_sizes(t=t)
     masks = g.row_masks
     left_violation = right_violation = None
     pair_sizes = []
@@ -251,8 +251,7 @@ class KnownValueRecord:
         if self.provenance not in (VERIFIED_WITNESS, SEARCHED, TRUSTED_LITERATURE):
             raise UsageError(f"unknown provenance {self.provenance!r}")
         if self.status == EXACT:
-            if self.value is None or self.value < 1:
-                raise UsageError("exact record needs a positive value")
+            check_sizes(value=self.value)
             if self.provenance == VERIFIED_WITNESS:
                 cert = self.certificate
                 if cert is None or not cert.valid or cert.graph.n != self.value - 1:

@@ -243,6 +243,10 @@ class TestModels:
         assert cnf.var(2, 3) == 12
         with pytest.raises(UsageError):
             cnf.var(3, 0)
+        # a bool is no index: var(True, 0) would be variable n + 1
+        for i, j in ((True, 0), (0, False), (1.0, 0), (0, 4)):
+            with pytest.raises(UsageError):
+                cnf.var(i, j)
 
     def test_graph_model_roundtrip(self):
         cnf = encode_cnf(ArrowingInstance(2, 3, 2))

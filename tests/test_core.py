@@ -26,9 +26,52 @@ from biramsey.core import (
     transpose,
     union_coverage,
 )
-from biramsey.witnesses import witness_6x39, witness_8x29
+from biramsey.cnf import CnfInstance
+from biramsey.search import (
+    ArrowingInstance,
+    SearchConfig,
+    degree_cap,
+    find_br_m,
+    nonexistence_criterion,
+)
+from biramsey.witnesses import (
+    EXACT,
+    SEARCHED,
+    KnownValueRecord,
+    star_witness,
+    verify_good_coloring,
+    witness_6x39,
+    witness_8x29,
+)
 
 from oracles import contains_biclique_codes
+
+# every size, count and limit check of the package, each argument fed the
+# value under test with valid values elsewhere; all twelve call check_sizes
+SIZE_CHECKS = {
+    "BicliqueSpec s": lambda v: BicliqueSpec(v, 2),
+    "BicliqueSpec t": lambda v: BicliqueSpec(2, v),
+    "BipartiteGraph m": lambda v: BipartiteGraph(v, 2, (0,)),
+    "BipartiteGraph n": lambda v: BipartiteGraph(1, v, (0,)),
+    "ArrowingInstance m": lambda v: ArrowingInstance(v, 4, 2),
+    "ArrowingInstance n": lambda v: ArrowingInstance(3, v, 2),
+    "ArrowingInstance t": lambda v: ArrowingInstance(3, 4, v),
+    "degree_cap m": lambda v: degree_cap(v, 40, 5),
+    "degree_cap n": lambda v: degree_cap(6, v, 5),
+    "degree_cap t": lambda v: degree_cap(6, 40, v),
+    "nonexistence_criterion m": lambda v: nonexistence_criterion(v, 2),
+    "nonexistence_criterion t": lambda v: nonexistence_criterion(3, v),
+    "find_br_m n_limit": lambda v: find_br_m(3, 2, v),
+    "SearchConfig threads": lambda v: SearchConfig(threads=v),
+    "SearchConfig node_budget": lambda v: SearchConfig(node_budget=v),
+    "CnfInstance m": lambda v: CnfInstance(v, 3, 2),
+    "CnfInstance n": lambda v: CnfInstance(3, v, 2),
+    "CnfInstance t": lambda v: CnfInstance(3, 3, v),
+    "star_witness m": lambda v: star_witness(v, 3),
+    "star_witness n": lambda v: star_witness(2, v),
+    "verify_good_coloring t": lambda v: verify_good_coloring(witness_6x39(), v),
+    "KnownValueRecord value": lambda v: KnownValueRecord(3, 2, EXACT, SEARCHED, value=v),
+}
 
 
 def graph_from_code(code: int, m: int, n: int) -> BipartiteGraph:
@@ -64,7 +107,8 @@ class TestColumnsFromMask:
 
     @pytest.mark.parametrize("n", [1, 8, 9, 300])
     def test_pack_rejects_columns_out_of_range(self, n):
-        for c in (-1, n):
+        # a bool is no column index, even where it would name column 0 or 1
+        for c in (-1, n, False, True, 0.0):
             with pytest.raises(UsageError):
                 mask_from_columns([0, c], n)
 
@@ -90,6 +134,14 @@ class TestConstruction:
             BipartiteGraph(1, 3, (0b1000,))
         with pytest.raises(UsageError):
             BipartiteGraph.from_rows(1, 3, [[3]])
+        # a size is an int >= 1, and a bool is no int; None means "no
+        # budget" to node_budget alone
+        for name, check in SIZE_CHECKS.items():
+            for value in (0, -1, 1.5, True, None, "5"):
+                if value is None and name == "SearchConfig node_budget":
+                    continue
+                with pytest.raises(UsageError, match="need ints >= 1"):
+                    check(value)
 
     def test_rows_roundtrip(self):
         g = BipartiteGraph.from_rows(2, 5, [[0, 2, 4], []])
@@ -121,6 +173,10 @@ class TestDegree:
             degree(witness_6x39(), 6)
         with pytest.raises(UsageError):
             degree(witness_6x39(), -1)
+        # a bool is no row index, and neither is a float
+        for i in (True, False, 1.0):
+            with pytest.raises(UsageError):
+                degree(witness_6x39(), i)
 
 
 class TestMaxRowDegree:
@@ -337,3 +393,6 @@ class TestTransposeInduced:
         assert h.row_masks == g.row_masks[:7]
         with pytest.raises(UsageError):
             induced_rows(g, [8])
+        for rows in ([], [True], [0, 1.0]):
+            with pytest.raises(UsageError):
+                induced_rows(g, rows)

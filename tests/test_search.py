@@ -631,6 +631,16 @@ class TestBudgets:
                 SearchConfig(**{field: True})
         with pytest.raises(UsageError):
             SearchConfig(time_budget="5")
+        # an int too large for a float would overflow the deadline
+        with pytest.raises(UsageError):
+            SearchConfig(time_budget=10**400)
+        assert type(SearchConfig(time_budget=10**300).time_budget) is float
+        # disabled_rules is a collection of rule names: no None, and no
+        # string, which would be read as a set of characters
+        for rules in (None, "coverage", b"coverage", 5):
+            with pytest.raises(UsageError):
+                SearchConfig(disabled_rules=rules)
+        assert SearchConfig(disabled_rules=[RULE_COVERAGE]).disabled_rules == {RULE_COVERAGE}
         assert SearchConfig(node_budget=5, threads=2, time_budget=3).time_budget == 3
 
 
